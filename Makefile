@@ -6,11 +6,12 @@ test:
 # Tier-1.5: concurrency hygiene, observability, fault-containment, and
 # serving gates — vet everything, run the worker-pool, compile-cache,
 # shared-program, fault, observability, and server packages under the
-# race detector, fail if the nil-observer step path allocates, fail if
-# starting a span without a collector installed allocates, smoke-run
-# the observer-overhead and span-overhead benchmarks, exercise the
-# end-to-end containment
-# gate (a panic injected at every site must degrade gracefully, never
+# race detector (the compile cache's single-flight must never hand a
+# contained panic to the callers parked on it), fail if the nil-observer
+# step path allocates, fail if starting a span without a collector
+# installed allocates, smoke-run the observer-overhead and span-overhead
+# benchmarks, exercise the end-to-end containment gate (a panic injected
+# at every site, at -j 1, 2 and 8, must fail exactly one cell and never
 # crash the suite), replay the fuzz seed corpora, run the daemon
 # lifecycle smoke test (boot on a free port, one analyze round-trip,
 # SIGTERM drain), and hold the bytecode VM to its fidelity contract:
@@ -21,34 +22,28 @@ test:
 # sets to the sequential DFS oracle on every suite case with choice
 # points, for both engines, and the whole search package must be
 # race-clean (workers share the frontier, the POR registry and the
-# dedup table). The cluster gates: the ring/breaker/failover package
-# race-clean, the router smoke (one shard + one router, analyze
-# round-trip, clean SIGTERM drains), and the chaos gate — 3 real shard
-# processes behind the router, 1% injected forward faults, one shard
-# SIGKILLed mid-load and restarted, auditing zero client-visible
-# crashes, exact verdict-counter agreement (client == router delivered
-# == per-instance shard counters), drained queues, and a full breaker
-# open → half-open → closed cycle — now extended with the artifact-tier
-# gates: the whole suite runs every artifact round-trip differentially
-# (a decoded program must analyze byte-identically to the compiled
-# original on every suite case, both engines), the artifact package is
-# race-clean, and the chaos run additionally audits that the restarted
-# shard answers warmed keys by artifact fetch (disk, then peer) with
-# zero frontend recompiles, and that the router's cross-node
-# single-flight coalesced duplicate compiles. The observability gates on
-# top: the UB coverage hot path (evaluated/fired counters on every check
-# site) must not allocate, and the chaos run finishes by SIGKILLing a
-# shard under a pinned trace id and asserting GET /v1/trace/{id}
-# assembles one Chrome trace with the router's failed forward + backoff
-# spans and spans from the surviving shard processes.
+# dedup table). The cluster gates: the ring/breaker/failover/
+# single-flight package race-clean, the router smoke (one shard + one
+# router, analyze round-trip, clean SIGTERM drains), and the chaos gate
+# — 3 real shard processes behind the router, 1% injected forward
+# faults, one shard SIGKILLed mid-load and restarted, auditing zero
+# client-visible crashes, exact verdict-counter agreement (client ==
+# router delivered == per-instance shard counters), drained queues, a
+# full breaker open → half-open → closed cycle, that the router's
+# cross-node single-flight coalesced duplicate compiles, and that the
+# restarted shard recompiles a pre-kill key exactly once to the same
+# verdict. The observability gates on top: the UB coverage hot path
+# (evaluated/fired counters on every check site) must not allocate, and
+# the chaos run finishes by SIGKILLing a shard under a pinned trace id
+# and asserting GET /v1/trace/{id} assembles one Chrome trace with the
+# router's failed forward + backoff spans and spans from the surviving
+# shard processes.
 .PHONY: check
 check: test
 	go vet ./...
 	go test -race ./internal/runner/... ./internal/driver/... ./internal/tools/... ./internal/obs/... ./internal/fault/...
 	go test -race ./internal/server/...
 	go test -race ./internal/cluster/...
-	go test -race ./internal/artifact/...
-	go test ./internal/artifact/ -run TestArtifactRoundTripGate -count=1
 	go test ./internal/interp/ -run 'ObserverPathAllocs' -count=1
 	go test ./internal/obs/ -run 'SpanNoCollector' -count=1
 	go test ./internal/obs/ -run 'TestCoverageLedgerAllocs' -count=1

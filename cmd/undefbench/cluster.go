@@ -15,6 +15,11 @@
 //   - every live shard's admission queue drained
 //   - when a shard was killed and restarted, its breaker recorded the
 //     full open → half-open → closed recovery cycle
+//   - the router's cross-node single-flight coalesced duplicate compiles
+//   - a restarted shard recompiles: a key its dead incarnation compiled
+//     costs it exactly one frontend pass and yields the same verdict
+//   - a failover under a pinned trace identity assembles into one
+//     cross-node trace
 //
 // The shards are separate OS processes (undefbench re-execs itself with
 // the hidden -shard-exec flag), so the kill is a real SIGKILL: no defers
@@ -33,10 +38,10 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -83,25 +88,21 @@ type clusterReport struct {
 	// honest typed error body instead of a hang or a torn response.
 	Unavailable int64 `json:"unavailable_503"`
 
-	// Artifact-tier audit. ClusterFetches / ClusterCompiles split the
-	// cluster's cache misses into artifact-served and frontend-compiled
-	// (the fetch-vs-recompile ratio); RouterCoalesced counts forwards the
-	// router held behind an identical in-flight key; RouterHints counts
-	// forwards stamped with a directory hint. DiskFetches / PeerFetches /
-	// ProbeRecompiles are the restarted shard's counter deltas over the
-	// cold-restart probes, and ColdRestartOK is the gate: the SIGKILLed-
-	// and-restarted shard answered its first repeat-key requests by
-	// fetching (disk, then peer), never by recompiling. CoalesceOK gates
-	// RouterCoalesced > 0 whenever the workload had duplicates to coalesce.
-	ClusterFetches  int64 `json:"cluster_fetches"`
-	ClusterCompiles int64 `json:"cluster_compiles"`
+	// RouterCoalesced counts forwards the router held behind an identical
+	// in-flight key; CoalesceOK gates RouterCoalesced > 0 whenever the
+	// workload had duplicates to coalesce. RestartCompiles is the
+	// restarted shard's compile delta over one probe of a key its dead
+	// incarnation compiled, and RestartOK is the gate: exactly one
+	// recompile, and the same verdict as before the kill.
 	RouterCoalesced int64 `json:"router_coalesced"`
-	RouterHints     int64 `json:"router_hints"`
-	DiskFetches     int64 `json:"disk_fetches"`
-	PeerFetches     int64 `json:"peer_fetches"`
-	ProbeRecompiles int64 `json:"probe_recompiles"`
-	ColdRestartOK   bool  `json:"cold_restart_ok"`
 	CoalesceOK      bool  `json:"coalesce_ok"`
+	RestartCompiles int64 `json:"restart_compiles"`
+	RestartOK       bool  `json:"restart_ok"`
+	// PreKillP99NS and PostKillP99NS split the client p99 at the first
+	// SIGKILL: requests started before it, and the rest. Reported, not
+	// gated — wall time on a shared machine is too noisy for a bound.
+	PreKillP99NS  int64 `json:"pre_kill_p99_ns,omitempty"`
+	PostKillP99NS int64 `json:"post_kill_p99_ns,omitempty"`
 
 	// Trace-assembly audit: one failover forced under a known trace
 	// identity, then the router's /v1/trace/{id} pulled and checked.
@@ -115,28 +116,16 @@ type clusterReport struct {
 	TraceAssembled  bool `json:"trace_assembled"`
 }
 
-// The cold-restart probe sources: distinctive translation units no
-// workload case collides with. The disk probe is compiled by a victim
-// shard BEFORE it is SIGKILLed, so its artifact survives on disk; the
-// peer probe is compiled by a surviving shard AFTER the audit, so the
-// restarted shard can only know it by fetching across the cluster.
-const (
-	diskProbeSrc = "int main(void) { int disk_probe = 41; return disk_probe - 41; }\n"
-	peerProbeSrc = "int main(void) { int peer_probe = 43; return peer_probe - 43; }\n"
-)
+// restartProbeSrc is the restart audit's translation unit, which no
+// workload case collides with. A victim shard analyzes it before it is
+// SIGKILLed and again after its restart: the new process knows nothing
+// of it, so it must compile it once more and reach the same verdict.
+const restartProbeSrc = "int main(void) { int restart_probe = 41; return restart_probe / (restart_probe - 41); }\n"
 
 // runShardProc is the hidden -shard-exec main: one undefd shard serving
-// on a fixed address until the parent kills the process. artDir arms the
-// artifact tier (persistent across the parent's kill/restart cycle);
-// peers is the comma-separated sibling list for cross-shard fetch.
-func runShardProc(addr, id, artDir, peers string) int {
-	var peerList []string
-	for _, p := range strings.Split(peers, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			peerList = append(peerList, p)
-		}
-	}
-	srv, err := server.New(server.Config{ShardID: id, ArtifactDir: artDir, ArtifactPeers: peerList})
+// on a fixed address until the parent kills the process.
+func runShardProc(addr, id string) int {
+	srv, err := server.New(server.Config{ShardID: id})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "undefbench shard %s: %v\n", id, err)
 		return 1
@@ -177,9 +166,8 @@ func freePorts(n int) ([]string, error) {
 }
 
 // spawnShard re-execs this binary as one shard process on addr.
-func spawnShard(addr, id, artDir, peers string) (*exec.Cmd, error) {
-	cmd := exec.Command(os.Args[0], "-shard-exec", "-shard-addr", addr, "-shard-id", id,
-		"-shard-artifact-dir", artDir, "-shard-peers", peers)
+func spawnShard(addr, id string) (*exec.Cmd, error) {
+	cmd := exec.Command(os.Args[0], "-shard-exec", "-shard-addr", addr, "-shard-id", id)
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
 		return nil, err
@@ -213,28 +201,6 @@ func runCluster(opts clusterOpts) int {
 		return 1
 	}
 
-	// Per-shard artifact directories under one run-scoped root. The dirs
-	// are keyed by ring position, NOT by process: a shard restarted onto
-	// its old port reopens its old store — the property under audit.
-	artRoot, err := os.MkdirTemp("", "undefbench-artifacts-*")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "undefbench: artifact root: %v\n", err)
-		return 1
-	}
-	defer os.RemoveAll(artRoot)
-	artDirs := make([]string, opts.shards)
-	peerLists := make([]string, opts.shards)
-	for i := range artDirs {
-		artDirs[i] = filepath.Join(artRoot, fmt.Sprintf("s%d", i))
-		var others []string
-		for j, p := range ports {
-			if j != i {
-				others = append(others, p)
-			}
-		}
-		peerLists[i] = strings.Join(others, ",")
-	}
-
 	// Real shard processes: a SIGKILL later must be a real process death.
 	procs := make([]*exec.Cmd, opts.shards)
 	defer func() {
@@ -246,7 +212,7 @@ func runCluster(opts clusterOpts) int {
 		}
 	}()
 	for i, addr := range ports {
-		p, err := spawnShard(addr, fmt.Sprintf("s%d", i), artDirs[i], peerLists[i])
+		p, err := spawnShard(addr, fmt.Sprintf("s%d", i))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "undefbench: spawn shard %d: %v\n", i, err)
 			return 1
@@ -302,13 +268,12 @@ func runCluster(opts clusterOpts) int {
 		hot = corpus[:4]
 	}
 
-	// Seed the cold-restart audit: compile the disk probe on the first
-	// victim BEFORE the chaos kills it. The process, its cache, and its
-	// counters all die with the SIGKILL — only the artifact store
-	// survives, which is exactly what the post-restart probe measures.
+	// Seed the restart audit: the first victim analyzes the probe BEFORE
+	// the chaos kills it. Its cache and counters die with the SIGKILL.
+	var preKillVerdict string
 	if opts.kill > 0 {
-		if err := probeAnalyze(client, ports[0], diskProbeSrc, "disk_probe.c"); err != nil {
-			fmt.Fprintf(os.Stderr, "undefbench: disk-probe seed: %v\n", err)
+		if preKillVerdict, err = probeAnalyze(client, ports[0], restartProbeSrc, "restart_probe.c"); err != nil {
+			fmt.Fprintf(os.Stderr, "undefbench: restart-probe seed: %v\n", err)
 			return 1
 		}
 	}
@@ -318,12 +283,14 @@ func runCluster(opts clusterOpts) int {
 	// with every breaker recovered and every shard back in rotation.
 	deadline := time.Now().Add(opts.dur)
 	restarted := make(chan int, 1)
+	var killed atomic.Bool
 	var chaos sync.WaitGroup
 	if opts.kill > 0 {
 		chaos.Add(1)
 		go func() {
 			defer chaos.Done()
 			time.Sleep(opts.dur * 35 / 100)
+			killed.Store(true)
 			for i := 0; i < opts.kill; i++ {
 				procs[i].Process.Kill()
 				procs[i].Wait()
@@ -332,7 +299,7 @@ func runCluster(opts clusterOpts) int {
 			time.Sleep(opts.dur * 25 / 100)
 			n := 0
 			for i := 0; i < opts.kill; i++ {
-				p, err := spawnShard(ports[i], fmt.Sprintf("s%d", i), artDirs[i], peerLists[i])
+				p, err := spawnShard(ports[i], fmt.Sprintf("s%d", i))
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "undefbench: restart shard %d: %v\n", i, err)
 					continue
@@ -347,6 +314,9 @@ func runCluster(opts clusterOpts) int {
 	}
 
 	stats := make([]workerStats, opts.conns)
+	// postKill[w] counts worker w's latencies, a suffix of its list, from
+	// requests started after the first SIGKILL.
+	postKill := make([]int, opts.conns)
 	var wg sync.WaitGroup
 	for w := 0; w < opts.conns; w++ {
 		wg.Add(1)
@@ -360,7 +330,11 @@ func runCluster(opts clusterOpts) int {
 				if rng.Float64() < opts.dup {
 					c = &hot[rng.Intn(len(hot))]
 				}
+				after, n := killed.Load(), len(st.latencies)
 				oneRequest(client, url, c, st)
+				if after {
+					postKill[w] += len(st.latencies) - n
+				}
 			}
 		}(w)
 	}
@@ -372,10 +346,13 @@ func runCluster(opts clusterOpts) int {
 	rep.Connections = opts.conns
 	rep.DurationNS = opts.dur.Nanoseconds()
 	rep.Verdicts = map[string]int64{}
-	var all []time.Duration
+	var all, pre, post []time.Duration
 	for i := range stats {
 		st := &stats[i]
 		all = append(all, st.latencies...)
+		cut := len(st.latencies) - postKill[i]
+		pre = append(pre, st.latencies[:cut]...)
+		post = append(post, st.latencies[cut:]...)
 		rep.Rejected += st.rejected
 		rep.Unavailable += st.unavailable
 		rep.Errors += st.errors
@@ -393,6 +370,12 @@ func runCluster(opts clusterOpts) int {
 	if n := len(all); n > 0 {
 		rep.MaxNS = all[n-1].Nanoseconds()
 	}
+	if opts.kill > 0 {
+		sort.Slice(pre, func(i, j int) bool { return pre[i] < pre[j] })
+		sort.Slice(post, func(i, j int) bool { return post[i] < post[j] })
+		rep.PreKillP99NS = percentile(pre, 0.99).Nanoseconds()
+		rep.PostKillP99NS = percentile(post, 0.99).Nanoseconds()
+	}
 
 	// Let in-flight shard work settle before reading counters: the last
 	// responses were relayed, but a shard's own tally is written before
@@ -400,10 +383,10 @@ func runCluster(opts clusterOpts) int {
 	// queue-drained check to see idle queues.
 	time.Sleep(200 * time.Millisecond)
 	auditCluster(client, url, ports, procs, &rep)
-	// The artifact audit runs strictly AFTER auditCluster: its direct
-	// shard probes bump shard-local verdict counters the router never
+	// The restart audit runs strictly AFTER auditCluster: its direct
+	// shard probe bumps shard-local verdict counters the router never
 	// delivered, which would wrongly fail the instance-match invariant.
-	auditArtifacts(client, url, ports, procs, opts, &rep)
+	auditRestart(client, url, ports, procs, opts, preKillVerdict, &rep)
 	// The trace audit runs LAST of all: it SIGKILLs a shard for real to
 	// force a failover under a known trace identity, which would wreck
 	// every earlier reconciliation.
@@ -417,7 +400,7 @@ func runCluster(opts clusterOpts) int {
 		printClusterReport(&rep)
 	}
 	if !rep.ServerOK || !rep.TallyMatch || !rep.InstanceMatch || !rep.QueueEmpty ||
-		!rep.ZeroErrors || !rep.BreakerCycle || !rep.ColdRestartOK || !rep.CoalesceOK ||
+		!rep.ZeroErrors || !rep.BreakerCycle || !rep.RestartOK || !rep.CoalesceOK ||
 		!rep.TraceAssembled {
 		return 1
 	}
@@ -425,54 +408,56 @@ func runCluster(opts clusterOpts) int {
 }
 
 // probeAnalyze posts one source straight to a shard (bypassing the
-// router) and requires a verdict-bearing 200.
-func probeAnalyze(client *http.Client, addr, src, file string) error {
+// router), requires a verdict-bearing 200, and returns the verdict with
+// its UB diagnostic, if any.
+func probeAnalyze(client *http.Client, addr, src, file string) (string, error) {
 	body, err := json.Marshal(server.AnalyzeRequest{Source: src, File: file})
 	if err != nil {
-		return err
+		return "", err
 	}
 	resp, err := client.Post("http://"+addr+"/v1/analyze", "application/json", bytes.NewReader(body))
 	if err != nil {
-		return err
+		return "", err
 	}
 	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("shard %s: probe status %d", addr, resp.StatusCode)
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
+		return "", fmt.Errorf("shard %s: probe status %d", addr, resp.StatusCode)
 	}
-	return nil
+	var ar server.AnalyzeResponse
+	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&ar); err != nil {
+		return "", fmt.Errorf("shard %s: probe body: %v", addr, err)
+	}
+	verdict := ar.Result.Verdict.String()
+	if ar.Result.UB != nil {
+		verdict += ": " + ar.Result.UB.Error()
+	}
+	return verdict, nil
 }
 
-// auditArtifacts fills the artifact-tier verdicts: the cluster-wide
-// fetch-vs-recompile split, the router's coalescing/hint counters, and —
-// when the chaos killed and restarted a shard — the cold-restart gate:
-// the restarted shard must answer a repeat of a pre-kill key from its
-// surviving disk store, and a key it never saw by fetching from a peer,
-// with ZERO frontend recompiles across both probes.
-func auditArtifacts(client *http.Client, url string, ports []string, procs []*exec.Cmd, opts clusterOpts, rep *clusterReport) {
+// auditRestart fills the router's coalescing count and — when the chaos
+// killed and restarted a shard — the restart gate: the restarted shard,
+// asked directly for the key its dead incarnation compiled before the
+// kill, must run the frontend exactly once more and reach the same
+// verdict. Nothing survives a SIGKILL; the ring routing keys back to the
+// restarted shard is what rewarms it.
+func auditRestart(client *http.Client, url string, ports []string, procs []*exec.Cmd, opts clusterOpts, preKillVerdict string, rep *clusterReport) {
 	rm, err := fetchRouterMetrics(client, url)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "undefbench: router /metrics unreachable in artifact audit: %v\n", err)
+		fmt.Fprintf(os.Stderr, "undefbench: router /metrics unreachable in restart audit: %v\n", err)
 		rep.ServerOK = false
 		return
 	}
-	if rm.Artifact != nil {
-		rep.RouterCoalesced = rm.Artifact.Coalesced
-		rep.RouterHints = rm.Artifact.Hints
-	}
-	if rm.Aggregate != nil {
-		rep.ClusterFetches = rm.Aggregate.Cache.ArtifactHits
-		rep.ClusterCompiles = rm.Aggregate.Cache.Compiles
-	}
+	rep.RouterCoalesced = rm.Coalesced
 	// With duplicate traffic in the workload, the cluster-wide
 	// single-flight must have held at least one follower.
 	rep.CoalesceOK = opts.dup <= 0 || rep.RouterCoalesced > 0
 
-	rep.ColdRestartOK = true
+	rep.RestartOK = true
 	if opts.kill == 0 || rep.Restarted == 0 || procs[0] == nil {
 		return
 	}
-	rep.ColdRestartOK = false
+	rep.RestartOK = false
 	addr := ports[0]
 	if err := waitReady(client, addr, time.Now().Add(15*time.Second)); err != nil {
 		fmt.Fprintf(os.Stderr, "undefbench: restarted shard: %v\n", err)
@@ -483,26 +468,9 @@ func auditArtifacts(client *http.Client, url string, ports []string, procs []*ex
 		fmt.Fprintf(os.Stderr, "undefbench: restarted shard /metrics: %v\n", err)
 		return
 	}
-	// Probe 1: the key the dead incarnation compiled. Only the disk store
-	// can know it here — the hot cache died with the process.
-	if err := probeAnalyze(client, addr, diskProbeSrc, "disk_probe.c"); err != nil {
-		fmt.Fprintf(os.Stderr, "undefbench: disk probe: %v\n", err)
-		return
-	}
-	mid, err := fetchMetrics(client, "http://"+addr)
+	verdict, err := probeAnalyze(client, addr, restartProbeSrc, "restart_probe.c")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "undefbench: restarted shard /metrics: %v\n", err)
-		return
-	}
-	// Probe 2: a key only a surviving peer holds. Prime the last shard
-	// (never a kill victim) directly, then ask the restarted one.
-	survivor := ports[len(ports)-1]
-	if err := probeAnalyze(client, survivor, peerProbeSrc, "peer_probe.c"); err != nil {
-		fmt.Fprintf(os.Stderr, "undefbench: peer-probe seed: %v\n", err)
-		return
-	}
-	if err := probeAnalyze(client, addr, peerProbeSrc, "peer_probe.c"); err != nil {
-		fmt.Fprintf(os.Stderr, "undefbench: peer probe: %v\n", err)
+		fmt.Fprintf(os.Stderr, "undefbench: restart probe: %v\n", err)
 		return
 	}
 	after, err := fetchMetrics(client, "http://"+addr)
@@ -510,17 +478,11 @@ func auditArtifacts(client *http.Client, url string, ports []string, procs []*ex
 		fmt.Fprintf(os.Stderr, "undefbench: restarted shard /metrics: %v\n", err)
 		return
 	}
-
-	if before.Artifact != nil && after.Artifact != nil {
-		rep.DiskFetches = after.Artifact.DiskHits - before.Artifact.DiskHits
-		rep.PeerFetches = after.Artifact.PeerHits - before.Artifact.PeerHits
+	rep.RestartCompiles = after.Cache.Compiles - before.Cache.Compiles
+	if verdict != preKillVerdict {
+		fmt.Fprintf(os.Stderr, "undefbench: restart probe verdict %q, before the kill %q\n", verdict, preKillVerdict)
 	}
-	rep.ProbeRecompiles = after.Cache.Compiles - before.Cache.Compiles
-	diskHit := mid.Cache.ArtifactHits-before.Cache.ArtifactHits >= 1 &&
-		mid.Cache.Compiles == before.Cache.Compiles
-	peerHit := after.Artifact != nil && mid.Artifact != nil &&
-		after.Artifact.PeerHits-mid.Artifact.PeerHits >= 1
-	rep.ColdRestartOK = diskHit && peerHit && rep.ProbeRecompiles == 0
+	rep.RestartOK = rep.RestartCompiles == 1 && verdict == preKillVerdict
 }
 
 // tracedAnalyze posts one source through the router, optionally under an
@@ -770,15 +732,10 @@ func printClusterReport(rep *clusterReport) {
 	fmt.Println()
 	fmt.Printf("  failover:  %d failovers over %d failed attempts · %d verdicts from killed incarnations\n",
 		rep.Failovers, rep.InjectedFails, rep.DeadDelivered)
-	ratio := "n/a"
-	if total := rep.ClusterFetches + rep.ClusterCompiles; total > 0 {
-		ratio = fmt.Sprintf("%.0f%% fetched", 100*float64(rep.ClusterFetches)/float64(total))
-	}
-	fmt.Printf("  artifacts: %d fetched vs %d compiled cluster-wide (%s) · router coalesced %d · hinted %d\n",
-		rep.ClusterFetches, rep.ClusterCompiles, ratio, rep.RouterCoalesced, rep.RouterHints)
+	fmt.Printf("  coalesce:  router held %d duplicate forwards behind an in-flight compile\n", rep.RouterCoalesced)
 	if rep.Killed > 0 {
-		fmt.Printf("  restart:   %d disk fetches, %d peer fetches, %d recompiles over the cold-restart probes\n",
-			rep.DiskFetches, rep.PeerFetches, rep.ProbeRecompiles)
+		fmt.Printf("  restart:   %d recompiles for the pre-kill probe · client p99 %s before the kill, %s after (reported, not gated)\n",
+			rep.RestartCompiles, time.Duration(rep.PreKillP99NS), time.Duration(rep.PostKillP99NS))
 	}
 	fmt.Printf("  trace:     %d shard processes in the assembled failover trace (failed attempt visible: %v)\n",
 		rep.TraceShardProcs, rep.TraceFailedFwd)
@@ -796,6 +753,6 @@ func printClusterReport(rep *clusterReport) {
 	check("admission queues drained", rep.QueueEmpty)
 	check("breaker cycled open→half-open→closed", rep.BreakerCycle)
 	check("router coalesced duplicate compiles", rep.CoalesceOK)
-	check("cold restart served from artifacts", rep.ColdRestartOK)
+	check("restarted shard recompiles", rep.RestartOK)
 	check("failover trace assembled across nodes", rep.TraceAssembled)
 }

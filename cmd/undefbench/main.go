@@ -129,12 +129,10 @@ func main() {
 	shardExec := flag.Bool("shard-exec", false, "internal: run as a cluster shard process")
 	shardAddr := flag.String("shard-addr", "", "internal: the -shard-exec listen address")
 	shardName := flag.String("shard-id", "", "internal: the -shard-exec shard name")
-	shardArtDir := flag.String("shard-artifact-dir", "", "internal: the -shard-exec artifact directory")
-	shardPeers := flag.String("shard-peers", "", "internal: the -shard-exec comma-separated peer list")
 	flag.Parse()
 
 	if *shardExec {
-		os.Exit(runShardProc(*shardAddr, *shardName, *shardArtDir, *shardPeers))
+		os.Exit(runShardProc(*shardAddr, *shardName))
 	}
 	if *clusterN > 0 {
 		os.Exit(runCluster(clusterOpts{

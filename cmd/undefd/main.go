@@ -41,12 +41,6 @@
 //	                       spans into one cross-node Chrome trace
 //	-debug-addr      second listener with GET /debug/pprof/... and
 //	                 POST /debug/metrics/reset; keep it loopback-only
-//	-artifact-dir    content-addressed artifact store directory: compiled
-//	                 programs persist across restarts and are served to
-//	                 peers on GET /v1/artifact/{key}
-//	-artifact-max-bytes  artifact store size cap (default 256 MiB)
-//	-peers a,b,c     sibling shard addresses to fetch missing artifacts
-//	                 from before recompiling (shard mode only)
 //
 // Cluster flags:
 //
@@ -108,9 +102,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	traceSample := fs.Int("trace-sample", 0, "trace every Nth analyze request (0 = off, 1 = all)")
 	flight := fs.Int("flight", -1, "flight-recorder events per analysis (-1 = auto, 0 = off)")
 	debugAddr := fs.String("debug-addr", "", "debug listener (pprof + metrics reset); empty = disabled")
-	artifactDir := fs.String("artifact-dir", "", "compiled-program artifact store directory (empty = tier off)")
-	artifactMax := fs.Int64("artifact-max-bytes", 0, "artifact store size cap in bytes (0 = 256 MiB default)")
-	peers := fs.String("peers", "", "comma-separated sibling shard addresses for artifact peer fetch")
 	router := fs.Bool("router", false, "run as the cluster front router over -shards")
 	shards := fs.String("shards", "", "comma-separated shard addresses for -router mode")
 	shardID := fs.String("shard-id", "", "this shard's name, stamped as X-Undefc-Shard on responses")
@@ -146,10 +137,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		fmt.Fprintln(stderr, "undefd: -shards requires -router")
 		return 2
 	}
-	if *peers != "" && *artifactDir == "" {
-		fmt.Fprintln(stderr, "undefd: -peers requires -artifact-dir")
-		return 2
-	}
 
 	// Flag semantics (-1 auto / 0 off) invert the Config's (0 auto /
 	// negative off): a CLI flag needs an explicit "off" a zero value can
@@ -174,9 +161,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		TraceSample:    *traceSample,
 		Flight:         cfgFlight,
 		ShardID:        *shardID,
-		ArtifactDir:      *artifactDir,
-		ArtifactMaxBytes: *artifactMax,
-		ArtifactPeers:    splitAddrs(*peers),
 	})
 	if err != nil {
 		fmt.Fprintf(stderr, "undefd: %v\n", err)
@@ -241,24 +225,12 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 			debugSrv.Close()
 		}
 		st := srv.CacheStats()
-		fmt.Fprintf(stdout, "undefd: drained clean (%d compiles, %d artifact hits, %d cache hits served)\n",
-			st.Compiles, st.ArtifactHits, st.Hits)
+		fmt.Fprintf(stdout, "undefd: drained clean (%d compiles, %d cache hits served)\n", st.Compiles, st.Hits)
 		return 0
 	case err := <-errc:
 		fmt.Fprintf(stderr, "undefd: serve: %v\n", err)
 		return 1
 	}
-}
-
-// splitAddrs parses a comma-separated address list, dropping blanks.
-func splitAddrs(s string) []string {
-	var out []string
-	for _, a := range strings.Split(s, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 // routerOpts carries the subset of flags the router mode uses.

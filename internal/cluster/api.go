@@ -9,7 +9,6 @@ package cluster
 // attribute the remainder to killed incarnations).
 
 import (
-	"repro/internal/artifact"
 	"repro/internal/driver"
 	"repro/internal/obs"
 )
@@ -57,36 +56,21 @@ type ShardMetrics struct {
 	Errors     int64        `json:"errors"`
 	// LatencyEWMANS is the passive forward-latency signal (α=1/8).
 	LatencyEWMANS int64 `json:"latency_ewma_ns,omitempty"`
-	// Cache and Artifact are the shard's own compile-cache and
-	// artifact-tier counters, grafted in by the /metrics fan-out; absent
-	// when the shard could not answer within the probe budget (or has no
-	// artifact tier). Latency is the shard's own per-stage histogram set,
+	// Cache is the shard's own compile-cache counters, grafted in by the
+	// /metrics fan-out; absent when the shard could not answer within the
+	// probe budget. Latency is the shard's own per-stage histogram set,
 	// grafted the same way — the mergeable raw buckets, not just the EWMA
 	// the router measures from outside.
-	Cache    *driver.CacheStats                `json:"cache,omitempty"`
-	Artifact *artifact.Stats                   `json:"artifact,omitempty"`
-	Latency  map[string]*obs.HistogramSnapshot `json:"latency,omitempty"`
+	Cache   *driver.CacheStats                `json:"cache,omitempty"`
+	Latency map[string]*obs.HistogramSnapshot `json:"latency,omitempty"`
 }
 
-// ArtifactRouting is the router's own artifact machinery: the directory
-// behind the peer hints and the cluster-wide single-flight table.
-type ArtifactRouting struct {
-	// Coalesced counts forwards held behind an identical in-flight key —
-	// compiles the cluster did NOT run twice.
-	Coalesced int64 `json:"coalesced"`
-	// Hints counts forwards stamped with an X-Undefc-Artifact-Peer header.
-	Hints int64 `json:"hints"`
-	// DirectoryKeys is the current key→holder directory size.
-	DirectoryKeys int64 `json:"directory_keys"`
-}
-
-// ClusterAggregate sums the per-shard cache and artifact counters over
-// the Shards entries that answered the /metrics fan-out.
+// ClusterAggregate sums the per-shard cache counters over the Shards
+// entries that answered the /metrics fan-out.
 type ClusterAggregate struct {
 	// Shards counts how many shards contributed to the sums.
-	Shards   int64             `json:"shards"`
-	Cache    driver.CacheStats `json:"cache"`
-	Artifact artifact.Stats    `json:"artifact"`
+	Shards int64             `json:"shards"`
+	Cache  driver.CacheStats `json:"cache"`
 	// Latency merges the shards' per-stage histograms bucket-by-bucket, so
 	// the router-side p50/p95/p99 are true cluster quantiles rather than
 	// quantiles-of-quantiles.
@@ -109,8 +93,11 @@ type RouterMetrics struct {
 	Delivered           map[string]int64            `json:"delivered,omitempty"`
 	DeliveredByInstance map[string]map[string]int64 `json:"delivered_by_instance,omitempty"`
 	Shards              []ShardMetrics              `json:"shards"`
-	// Artifact is the router's own artifact-routing state; Aggregate sums
-	// the shards' cache/artifact counters (fan-out on /metrics only).
-	Artifact  *ArtifactRouting  `json:"artifact,omitempty"`
+	// Coalesced counts /v1/analyze forwards the cross-node single-flight
+	// held behind an identical in-flight source key — compiles the cluster
+	// did NOT run twice.
+	Coalesced int64 `json:"coalesced"`
+	// Aggregate sums the shards' cache counters and merges their latency
+	// histograms and coverage ledgers (fan-out on /metrics only).
 	Aggregate *ClusterAggregate `json:"aggregate,omitempty"`
 }

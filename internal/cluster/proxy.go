@@ -61,9 +61,6 @@ type Config struct {
 	Injector *fault.Injector
 	// Seed makes backoff and breaker jitter replayable (default 1).
 	Seed int64
-	// DirectoryMax bounds the key→shard artifact directory (default 4096
-	// entries, LRU).
-	DirectoryMax int
 }
 
 func (c Config) withDefaults() Config {
@@ -85,9 +82,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.DirectoryMax <= 0 {
-		c.DirectoryMax = 4096
 	}
 	return c
 }
@@ -129,13 +123,10 @@ type Router struct {
 	noShards     atomic.Int64
 	upstreamLost atomic.Int64
 
-	// Artifact routing state: the key→holder directory behind the
-	// X-Undefc-Artifact-Peer hint, and the cluster-wide single-flight
-	// table with its counters.
-	dir          *directory
-	flights      *flightTable
-	artHints     atomic.Int64
-	artCoalesced atomic.Int64
+	// flights is the cluster-wide single-flight table; coalesced counts
+	// the forwards it held behind an identical in-flight key.
+	flights   *flightTable
+	coalesced atomic.Int64
 
 	mu         sync.Mutex
 	requests   map[string]int64
@@ -161,7 +152,6 @@ func NewRouter(cfg Config) (*Router, error) {
 		start:      time.Now(),
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		spans:      obs.NewSpanRing(0, 0),
-		dir:        newDirectory(cfg.DirectoryMax),
 		flights:    newFlightTable(),
 		requests:   make(map[string]int64),
 		delivered:  make(map[string]int64),
@@ -298,17 +288,13 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, path, key stri
 		(path == "/v1/explore" && strings.Contains(r.Header.Get("Accept"), "application/x-ndjson"))
 
 	// Cluster-wide single-flight: the first /v1/analyze for a source key
-	// leads; identical keys arriving while it is in flight wait here and
-	// find the work already done wherever they land. The wait is bounded
-	// by the forward timeout — a stuck leader delays followers, it cannot
-	// strand them.
-	artKey := ""
-	if path == "/v1/analyze" && isArtifactKey(key) {
-		artKey = key
-	}
-	if artKey != "" {
-		if wait := rt.flights.begin(artKey); wait != nil {
-			rt.artCoalesced.Add(1)
+	// leads; identical keys arriving while it is in flight wait here, then
+	// find the program in the compile cache of the shard the ring sends
+	// them to, the leader's. The wait is bounded by the forward timeout —
+	// a stuck leader delays followers, it cannot strand them.
+	if path == "/v1/analyze" && isSourceKey(key) {
+		if wait := rt.flights.begin(key); wait != nil {
+			rt.coalesced.Add(1)
 			select {
 			case <-wait:
 			case <-time.After(rt.cfg.ForwardTimeout):
@@ -316,7 +302,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, path, key stri
 				return // client gone while coalesced; nothing to answer
 			}
 		} else {
-			defer rt.flights.end(artKey)
+			defer rt.flights.end(key)
 		}
 	}
 
@@ -408,16 +394,6 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, path, key stri
 		if attempt > 1 {
 			req.Header.Set("X-Undefc-Replay", "1")
 		}
-		if artKey != "" {
-			// Steer the shard's artifact fetch at whoever answered for
-			// this key last — decisive on failover, when the replacement
-			// shard is cold but the original's store (or a peer that
-			// fetched from it) still holds the frame.
-			if holder, ok := rt.dir.lookup(artKey); ok && holder != sh.addr {
-				req.Header.Set("X-Undefc-Artifact-Peer", holder)
-				rt.artHints.Add(1)
-			}
-		}
 		fsp := startSpan("forward")
 		if fsp.Recording() {
 			fsp.SetAttr("shard", sh.addr)
@@ -507,12 +483,6 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, path, key stri
 		rt.fwdDelivered.Add(1)
 		if path == "/v1/analyze" {
 			rt.countDelivered(respBody, sh.instanceID())
-			if artKey != "" && resp.StatusCode == http.StatusOK {
-				// The shard that just answered compiled (or fetched) the
-				// program: it is now the directory's best guess for where
-				// this key's artifact lives.
-				rt.dir.record(artKey, sh.addr)
-			}
 		}
 		return
 	}
@@ -827,11 +797,7 @@ func (rt *Router) Metrics() *RouterMetrics {
 			NoShards:     rt.noShards.Load(),
 			UpstreamLost: rt.upstreamLost.Load(),
 		},
-		Artifact: &ArtifactRouting{
-			Coalesced:     rt.artCoalesced.Load(),
-			Hints:         rt.artHints.Load(),
-			DirectoryKeys: int64(rt.dir.len()),
-		},
+		Coalesced: rt.coalesced.Load(),
 	}
 	for _, sh := range rt.shards {
 		state := "ready"
@@ -876,9 +842,100 @@ func (rt *Router) Metrics() *RouterMetrics {
 	return m
 }
 
+// enrichMetrics fans out to the shards' own /metrics (JSON) and grafts
+// each shard's compile-cache counters and latency histograms onto its
+// entry, plus a cluster-wide aggregate. It runs only on the /metrics
+// request path — Metrics() itself stays network-free — and a shard that
+// cannot answer within the probe budget simply contributes no block.
+func (rt *Router) enrichMetrics(ctx context.Context, m *RouterMetrics) {
+	var (
+		wg    sync.WaitGroup
+		covMu sync.Mutex
+		cov   *obs.CoverageLedger
+	)
+	for i := range m.Shards {
+		wg.Add(1)
+		go func(sm *ShardMetrics) {
+			defer wg.Done()
+			ctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout*4)
+			defer cancel()
+			req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+sm.Addr+"/metrics", nil)
+			if err != nil {
+				return
+			}
+			req.Header.Set("Accept", "application/json")
+			resp, err := rt.client.Do(req)
+			if err != nil {
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+				return
+			}
+			var sr server.MetricsResponse
+			if json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(&sr) != nil {
+				return
+			}
+			cache := sr.Cache
+			sm.Cache = &cache
+			sm.Latency = sr.Latency
+			if sr.Coverage != nil {
+				covMu.Lock()
+				if cov == nil {
+					cov = &obs.CoverageLedger{Schema: obs.CoverageSchema}
+				}
+				cov.Add(sr.Coverage)
+				covMu.Unlock()
+			}
+		}(&m.Shards[i])
+	}
+	wg.Wait()
+
+	agg := &ClusterAggregate{}
+	for i := range m.Shards {
+		c := m.Shards[i].Cache
+		if c == nil {
+			continue
+		}
+		agg.Shards++
+		agg.Cache.Hits += c.Hits
+		agg.Cache.Misses += c.Misses
+		agg.Cache.Errors += c.Errors
+		agg.Cache.Waits += c.Waits
+		agg.Cache.Evictions += c.Evictions
+		agg.Cache.CompileTime += c.CompileTime
+		agg.Cache.Compiles += c.Compiles
+	}
+	// Merge the shards' per-stage latency histograms bucket-by-bucket:
+	// stage keys come from whichever shards answered, and merging snapshots
+	// is commutative, so the result is the same regardless of fan-out order.
+	for i := range m.Shards {
+		for stage, hs := range m.Shards[i].Latency {
+			if hs == nil {
+				continue
+			}
+			if agg.Latency == nil {
+				agg.Latency = make(map[string]*obs.HistogramSnapshot)
+			}
+			if cur := agg.Latency[stage]; cur == nil {
+				cp := *hs
+				cp.Buckets = append([]int64{}, hs.Buckets...)
+				agg.Latency[stage] = &cp
+			} else {
+				cur.Merge(hs)
+			}
+		}
+	}
+	agg.Coverage = cov
+	if agg.Shards > 0 || agg.Latency != nil || agg.Coverage != nil {
+		m.Aggregate = agg
+	}
+}
+
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m := rt.Metrics()
-	// The per-shard cache/artifact graft costs one bounded round trip per
+	// The per-shard cache/latency graft costs one bounded round trip per
 	// shard, so it runs only on the request path, never inside Metrics().
 	rt.enrichMetrics(r.Context(), m)
 	w.Header().Set("Content-Type", "application/json")

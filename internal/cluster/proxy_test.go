@@ -28,9 +28,6 @@ type fakeShard struct {
 	served   atomic.Int64
 	// mode: "ok", "429", "draining", "torn-stream", "stall-stream"
 	mode atomic.Value
-	// onAnalyze, when set to a func(*http.Request), observes each
-	// /v1/analyze request before it is answered (header assertions).
-	onAnalyze atomic.Value
 }
 
 func newFakeShard(t *testing.T, instance string) *fakeShard {
@@ -43,9 +40,6 @@ func newFakeShard(t *testing.T, instance string) *fakeShard {
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("/v1/analyze", func(w http.ResponseWriter, r *http.Request) {
-		if fn, ok := f.onAnalyze.Load().(func(*http.Request)); ok && fn != nil {
-			fn(r)
-		}
 		w.Header().Set("X-Undefc-Instance", f.instance)
 		w.Header().Set("Content-Type", "application/json")
 		switch f.mode.Load() {
@@ -89,8 +83,8 @@ func newFakeShard(t *testing.T, instance string) *fakeShard {
 		w.Header().Set("X-Undefc-Instance", f.instance)
 		w.Header().Set("Content-Type", "application/json")
 		io.WriteString(w, `{"schema":"undefc.api/v1","requests":{},"queue":{},"coalesce":{},`+
-			`"cache":{"hits":5,"misses":2,"compiles":2,"artifact_hits":0},`+
-			`"artifact":{"disk_hits":7,"stores":2}}`)
+			`"cache":{"hits":5,"misses":2,"compiles":2},`+
+			`"latency":{"compile":{"count":2,"sum_ns":3000,"buckets":[2]}}}`)
 	})
 	mux.HandleFunc("/v1/spans/", func(w http.ResponseWriter, r *http.Request) {
 		// One canned span under whatever trace is asked for, in the real
@@ -538,5 +532,40 @@ func TestClusterCoverageMerge(t *testing.T) {
 	}
 	if led.Fired < 1 {
 		t.Errorf("merged ledger reports %d fired behaviors, want >= 1", led.Fired)
+	}
+}
+
+// TestRouterMetricsEnrichment checks the /metrics fan-out: the router's
+// HTTP exposition grafts each shard's cache counters and latency
+// histograms in, and sums them into the aggregate block.
+func TestRouterMetricsEnrichment(t *testing.T) {
+	a := newFakeShard(t, "inst-a")
+	_, ts := newTestRouter(t, Config{Shards: []string{a.addr()}})
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m RouterMetrics
+	err = json.NewDecoder(resp.Body).Decode(&m)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Shards) != 1 || m.Shards[0].Cache == nil {
+		t.Fatalf("shard cache block missing: %+v", m.Shards)
+	}
+	if m.Shards[0].Cache.Hits != 5 || m.Shards[0].Cache.Compiles != 2 {
+		t.Errorf("shard cache block = %+v, want the fake's counters", m.Shards[0].Cache)
+	}
+	if l := m.Shards[0].Latency["compile"]; l == nil || l.Count != 2 {
+		t.Errorf("shard latency block = %+v, want the fake's compile histogram", m.Shards[0].Latency)
+	}
+	if m.Aggregate == nil || m.Aggregate.Shards != 1 ||
+		m.Aggregate.Cache.Hits != 5 || m.Aggregate.Cache.Compiles != 2 {
+		t.Fatalf("aggregate = %+v, want the single shard's sums", m.Aggregate)
+	}
+	if l := m.Aggregate.Latency["compile"]; l == nil || l.Count != 2 || l.SumNS != 3000 {
+		t.Errorf("aggregate latency = %+v, want the single shard's histogram", m.Aggregate.Latency)
 	}
 }

@@ -237,25 +237,6 @@ func (t *Type) Decay() *Type {
 	return PointerTo(t)
 }
 
-// RestoreDecay refills the construction-time decay cache on a type
-// rebuilt by a decoder (internal/artifact). The construction helpers
-// (ArrayOf, FuncType) fill decayed before a type is ever shared; a decoder
-// allocates Types directly from wire data and must call this on each one
-// after its Elem is in place, so Decay stays allocation-free on the
-// interpreter's access path for decoded programs too. No-op for types that
-// do not decay or already carry a cache.
-func (t *Type) RestoreDecay() {
-	if t.decayed != nil {
-		return
-	}
-	switch t.Kind {
-	case Array:
-		t.decayed = &Type{Kind: Ptr, Elem: t.Elem}
-	case Func:
-		t.decayed = &Type{Kind: Ptr, Elem: t}
-	}
-}
-
 // Qualified returns t with qualifiers added (sharing underlying structure).
 func (t *Type) Qualified(q Quals) *Type {
 	if q == 0 || t.Qual.Has(q) {

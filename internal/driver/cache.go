@@ -26,9 +26,10 @@ import (
 // compile failures (bad C) are cached as well — within one cache lifetime
 // a broken translation unit is compiled (and fails) exactly once, no
 // matter how many tools ask for it. Non-deterministic failures — contained
-// panics, injected transients, context cancellation — are NOT cached:
-// caching one would pin a spurious error onto a translation unit that
-// would compile fine on retry. Options.Includes is NOT part of the key:
+// panics, injected transients, context cancellation — are NOT cached, nor
+// shared with callers already waiting on the failed pass: either would pin
+// a spurious error onto a translation unit that would compile fine on
+// retry. Options.Includes is NOT part of the key:
 // callers must use a consistent include resolver for the lifetime of a
 // cache.
 type Cache struct {
@@ -43,14 +44,6 @@ type Cache struct {
 	waits                int64
 	evictions            int64
 	compileTime          time.Duration
-	// artifactHits counts misses served by decoding a stored artifact;
-	// compiles counts misses that ran an actual frontend pass. Their sum
-	// equals misses.
-	artifactHits, compiles int64
-
-	// artifacts, when set, is the second-level miss path: a miss consults
-	// it before running the frontend, and stores successful compiles back.
-	artifacts Artifacts
 
 	// observer, when set, receives EvCacheHit/EvCacheMiss per lookup.
 	observer obs.Observer
@@ -81,44 +74,10 @@ func (c *Cache) SetObserver(o obs.Observer) {
 	c.mu.Unlock()
 }
 
-// ArtifactFormat is the compiled-program artifact format version. It is
-// folded into every cache key and SourceKey, so artifacts written by a
-// build with a different codec shape are never even addressed: bumping it
-// invalidates every previously stored artifact at the key layer (asserted
-// by TestArtifactFormatBumpInvalidatesKeys). Bump it whenever the
-// sema.Program surface or the internal/artifact codec changes.
-const ArtifactFormat = 1
-
-// artifactFormat is the stamp actually folded into keys; a variable only
-// so the invalidation test can bump it and prove every key moves.
-var artifactFormat uint32 = ArtifactFormat
-
-// Artifacts is the content-addressed artifact tier consulted on cache
-// misses (implemented by internal/artifact.Tier; the interface lives here
-// so the artifact package can depend on driver, not the reverse).
-type Artifacts interface {
-	// Load returns the stored program for key if one is available locally
-	// or from a peer. Implementations must never return a wrong program:
-	// corrupt, torn, or version-skewed artifacts degrade to (nil, false).
-	// opts carries the ArtifactPeer fetch hint.
-	Load(key string, opts Options) (*sema.Program, bool)
-	// Store persists a freshly compiled program under key, best effort.
-	Store(key string, prog *sema.Program)
-}
-
-// SetArtifacts installs the artifact tier as the second-level miss path.
-// Set it before sharing the cache across goroutines.
-func (c *Cache) SetArtifacts(a Artifacts) {
-	c.mu.Lock()
-	c.artifacts = a
-	c.mu.Unlock()
-}
-
 type cacheKey struct {
 	srcHash [sha256.Size]byte
 	model   ctypes.Model
 	defines string
-	format  uint32
 }
 
 type cacheEntry struct {
@@ -149,21 +108,20 @@ type CacheStats struct {
 	// failures (transient, contained panic, cancellation) plus explicit
 	// Invalidate calls.
 	Evictions int64 `json:"evictions"`
-	// CompileTime is the total wall time spent inside actual frontend
-	// passes (misses only; waiting on another caller's compile is free).
+	// CompileTime is the total wall time spent inside frontend passes
+	// (preprocess, parse, typecheck) on misses; waiting on another
+	// caller's compile is free.
 	CompileTime time.Duration `json:"compile_time_ns"`
-	// ArtifactHits counts misses served by decoding a stored artifact
-	// instead of running the frontend; Compiles counts misses that ran a
-	// real frontend pass. ArtifactHits + Compiles == Misses.
-	ArtifactHits int64 `json:"artifact_hits"`
-	Compiles     int64 `json:"compiles"`
+	// Compiles counts frontend passes. Every miss runs exactly one, so it
+	// always equals Misses; it is kept as the divisor of CompileTime.
+	Compiles int64 `json:"compiles"`
 }
 
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, Errors: c.errors, Waits: c.waits, Evictions: c.evictions, CompileTime: c.compileTime, ArtifactHits: c.artifactHits, Compiles: c.compiles}
+	return CacheStats{Hits: c.hits, Misses: c.misses, Errors: c.errors, Waits: c.waits, Evictions: c.evictions, CompileTime: c.compileTime, Compiles: c.misses}
 }
 
 // Len reports the number of cached translation units (including failures
@@ -201,14 +159,24 @@ func (c *Cache) CompileCtx(ctx context.Context, src, file string, opts Options) 
 	return prog, err
 }
 
-// compile reports how the result was obtained in its third return: "hit"
-// (served from an existing entry), "artifact" (miss served by the artifact
-// tier), or "miss" (ran the frontend).
-func (c *Cache) compile(src, file string, opts Options) (prog *sema.Program, err error, how string) {
+// compile reports in its third return whether the result was served
+// from an existing entry ("hit") or by running the frontend ("miss").
+//
+// A follower whose leader ended in an error that must not be cached (a
+// contained panic, an injected transient, a cancellation) does not share
+// it: that error belongs to the leader's attempt, not to the translation
+// unit. The leader evicts such an entry before waking its followers, so
+// each of them looks the key up again and either waits on the next leader
+// or becomes it and returns its own result. Exactly one caller therefore
+// sees each non-deterministic failure, whatever the concurrency.
+func (c *Cache) compile(src, file string, opts Options) (*sema.Program, error, string) {
 	k := makeKey(src, file, opts)
-
-	c.mu.Lock()
-	if e, ok := c.entries[k]; ok {
+	for {
+		c.mu.Lock()
+		e, ok := c.entries[k]
+		if !ok {
+			break // c.mu stays held: this caller leads
+		}
 		c.hits++
 		select {
 		case <-e.done:
@@ -221,55 +189,37 @@ func (c *Cache) compile(src, file string, opts Options) (prog *sema.Program, err
 			o.Event(&obs.Event{Kind: obs.EvCacheHit, Name: file})
 		}
 		<-e.done
-		return e.prog, e.err, "hit"
+		if e.err == nil || cacheable(e.err) {
+			return e.prog, e.err, "hit"
+		}
 	}
 	e := &cacheEntry{done: make(chan struct{})}
 	c.entries[k] = e
 	c.misses++
-	arts := c.artifacts
 	o := c.observer
 	c.mu.Unlock()
 	if o != nil {
 		o.Event(&obs.Event{Kind: obs.EvCacheMiss, Name: file})
 	}
 
-	how = "miss"
 	start := time.Now()
-	if arts != nil {
-		if p, ok := arts.Load(sourceKeyOf(k), opts); ok {
-			e.prog = p
-			how = "artifact"
-		}
-	}
-	if e.prog == nil {
-		e.prog, e.err = Compile(src, file, opts)
-		if e.err == nil && arts != nil {
-			arts.Store(sourceKeyOf(k), e.prog)
-		}
-	}
+	e.prog, e.err = Compile(src, file, opts)
 	elapsed := time.Since(start)
-	close(e.done)
 
 	c.mu.Lock()
 	c.compileTime += elapsed
-	if how == "artifact" {
-		c.artifactHits++
-	} else {
-		c.compiles++
-	}
 	if e.err != nil {
 		c.errors++
 		if !cacheable(e.err) {
-			// Callers already waiting on e.done still see this result;
-			// future lookups recompile.
-			if c.entries[k] == e {
-				delete(c.entries, k)
-				c.evictions++
-			}
+			// Invalidate never removes an in-flight entry, so k still
+			// maps to e.
+			delete(c.entries, k)
+			c.evictions++
 		}
 	}
 	c.mu.Unlock()
-	return e.prog, e.err, how
+	close(e.done)
+	return e.prog, e.err, "miss"
 }
 
 // cacheable reports whether a compile error is deterministic — a property
@@ -323,13 +273,10 @@ func (c *Cache) Invalidate(src, file string, opts Options) bool {
 // sharing the run too is sound as long as the remaining knobs (tool,
 // budget, timeout) are folded into the request key by the caller.
 func SourceKey(src, file string, opts Options) string {
-	return sourceKeyOf(makeKey(src, file, opts))
-}
-
-func sourceKeyOf(k cacheKey) string {
+	k := makeKey(src, file, opts)
 	h := sha256.New()
 	h.Write(k.srcHash[:])
-	fmt.Fprintf(h, "|v%d|%+v|%s", k.format, k.model, k.defines)
+	fmt.Fprintf(h, "|%+v|%s", k.model, k.defines)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -346,6 +293,5 @@ func makeKey(src, file string, opts Options) cacheKey {
 	}
 	k.model = *model
 	k.defines = strings.Join(opts.Defines, "\x1f")
-	k.format = artifactFormat
 	return k
 }

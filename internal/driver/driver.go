@@ -27,13 +27,8 @@ type Options struct {
 	Defines []string
 	// Injector, when set, fires the driver.compile fault site before the
 	// frontend runs. It is deliberately NOT part of the cache key: fault
-	// injection perturbs execution, not the compiled artifact.
+	// injection perturbs execution, not the compiled program.
 	Injector *fault.Injector
-	// ArtifactPeer is a router-provided hint (the X-Undefc-Artifact-Peer
-	// header) naming the shard most likely to already hold this key's
-	// compiled artifact. Like Injector it is NOT part of the cache key:
-	// it steers where an artifact is fetched from, not what is compiled.
-	ArtifactPeer string
 }
 
 // Compile preprocesses, parses, and type-checks one C source file. A panic

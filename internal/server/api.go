@@ -11,7 +11,6 @@ package server
 import (
 	"time"
 
-	"repro/internal/artifact"
 	"repro/internal/driver"
 	"repro/internal/obs"
 	"repro/internal/runner"
@@ -353,16 +352,15 @@ type MetricsResponse struct {
 	// Bytecode is the compiled-code cache of the "vm" engine, present only
 	// when the server runs with Config.Engine "vm".
 	Bytecode *vm.CacheStats `json:"bytecode,omitempty"`
-	// Artifact is the content-addressed artifact tier under the compile
-	// cache, present only when the server runs with Config.ArtifactDir.
-	Artifact *artifact.Stats `json:"artifact,omitempty"`
 	// Latency holds the server-side latency distributions of the analyze
 	// path, keyed "e2e", "queue", "compile", "run" — each with count, sum,
-	// min/max and precomputed p50/p95/p99. Present once the server has
+	// min/max and precomputed p50/p95/p99. "compile" times only the
+	// frontend (preprocess, parse, typecheck) or the single-flight wait on
+	// it; a cache hit observes ~0. Present once the server has
 	// handled at least one analyze request. Deltas between two readings
 	// (HistogramSnapshot.Sub) give windowed quantiles; undefbench uses
 	// exactly that to compare server-side against client-observed latency.
-	Latency  map[string]*obs.HistogramSnapshot `json:"latency,omitempty"`
+	Latency map[string]*obs.HistogramSnapshot `json:"latency,omitempty"`
 	// Coverage is the process-lifetime UB check-site coverage ledger (also
 	// served alone on GET /v1/coverage); a cluster router sums shard
 	// ledgers into its aggregate through this field.
@@ -403,10 +401,6 @@ type ConfigResponse struct {
 	// FlightEvents is the armed flight-recorder ring size (0 = off).
 	TraceSample  int `json:"trace_sample,omitempty"`
 	FlightEvents int `json:"flight_events,omitempty"`
-	// ArtifactDir and ArtifactPeers describe the artifact tier (empty =
-	// tier disabled).
-	ArtifactDir   string   `json:"artifact_dir,omitempty"`
-	ArtifactPeers []string `json:"artifact_peers,omitempty"`
 }
 
 // parseTimeout resolves a request's timeout string against the server's

@@ -68,12 +68,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defines := append(append([]string{}, s.cfg.Defines...), req.Defines...)
-	copts := driver.Options{
-		Model: model, Defines: defines, Injector: s.cfg.Injector,
-		// The router's directory hint: the shard most likely to already
-		// hold this key's compiled artifact. Not part of the cache key.
-		ArtifactPeer: r.Header.Get("X-Undefc-Artifact-Peer"),
-	}
+	copts := driver.Options{Model: model, Defines: defines, Injector: s.cfg.Injector}
 
 	// Tracing: every cfg.TraceSample-th analyze request gets a trace
 	// context; its span tree lands in s.traces when the root ends and is
@@ -656,31 +651,6 @@ func (s *Server) handleCoverage(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, obs.CoverageSnapshot())
 }
 
-// ---------- /v1/artifact ----------
-
-// handleArtifact serves raw artifact frames to peer shards: a shard that
-// missed locally fetches the compiled program from whoever has it instead
-// of recompiling. The key's own alphabet (64 hex digits) is the path
-// guard; anything else — including traversal attempts — is a 404. The
-// frame is served exactly as stored (magic, version, checksum), so the
-// fetching side re-validates end to end.
-func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	if s.artifacts == nil {
-		writeError(w, http.StatusNotFound, "artifact-tier-disabled",
-			"no artifact tier: start the server with an artifact directory")
-		return
-	}
-	key := strings.TrimPrefix(r.URL.Path, "/v1/artifact/")
-	frame, err := s.artifacts.ServeFrame(key)
-	if err != nil {
-		writeError(w, http.StatusNotFound, "not-found", "no artifact for key "+key)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", fmt.Sprint(len(frame)))
-	w.Write(frame)
-}
-
 // ---------- operational endpoints ----------
 
 // handleHealthz is pure liveness: if the process can answer HTTP at all,
@@ -754,8 +724,6 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 		InjectorArmed:  s.cfg.Injector != nil,
 		TraceSample:    s.cfg.TraceSample,
 		FlightEvents:   s.cfg.Flight,
-		ArtifactDir:    s.cfg.ArtifactDir,
-		ArtifactPeers:  s.cfg.ArtifactPeers,
 	})
 }
 

@@ -197,6 +197,7 @@ func TestMetricsPrometheus(t *testing.T) {
 			`undefc_verdicts_total{verdict="flagged"} 1`,
 			"undefc_latency_seconds_count{stage=\"e2e\"} 1",
 			"undefc_latency_seconds_bucket{stage=\"e2e\",le=\"+Inf\"} 1",
+			"undefc_cache_compiles_total 1",
 		} {
 			if !strings.Contains(body, want) {
 				t.Errorf("accept=%q query=%q: exposition missing %q\n%s", tc.accept, tc.query, want, body)

@@ -52,7 +52,6 @@ func writePrometheus(w http.ResponseWriter, m *MetricsResponse) {
 	promCounter(w, "undefc_cache_errors_total", "Frontend passes that failed.", m.Cache.Errors)
 	promCounter(w, "undefc_cache_waits_total", "Single-flight waits on an in-flight compile.", m.Cache.Waits)
 	promCounter(w, "undefc_cache_evictions_total", "Cache entries dropped.", m.Cache.Evictions)
-	promCounter(w, "undefc_cache_artifact_hits_total", "Cache misses served by the artifact tier instead of a compile.", m.Cache.ArtifactHits)
 	promCounter(w, "undefc_cache_compiles_total", "Cache misses that ran the frontend.", m.Cache.Compiles)
 
 	if b := m.Bytecode; b != nil {
@@ -60,24 +59,6 @@ func writePrometheus(w http.ResponseWriter, m *MetricsResponse) {
 		promCounter(w, "undefc_bytecode_misses_total", "Compiled-code cache misses (bytecode compiles).", int64(b.Misses))
 		promCounter(w, "undefc_bytecode_evictions_total", "Compiled-code cache entries dropped.", int64(b.Evictions))
 		promGauge(w, "undefc_bytecode_cached", "Programs with compiled code resident.", float64(b.Size))
-	}
-
-	if a := m.Artifact; a != nil {
-		promCounter(w, "undefc_artifact_disk_hits_total", "Artifact loads served from the local store.", a.DiskHits)
-		promCounter(w, "undefc_artifact_disk_misses_total", "Artifact loads the local store could not serve.", a.DiskMisses)
-		promGauge(w, "undefc_artifact_disk_entries", "Frames resident in the local store.", float64(a.DiskEntries))
-		promGauge(w, "undefc_artifact_disk_bytes", "Bytes resident in the local store.", float64(a.DiskBytes))
-		promCounter(w, "undefc_artifact_stores_total", "Frames persisted to the local store.", a.Stores)
-		promCounter(w, "undefc_artifact_store_errors_total", "Frame persists that failed.", a.StoreErrors)
-		promCounter(w, "undefc_artifact_evictions_total", "Frames evicted by the size cap.", a.Evictions)
-		promCounter(w, "undefc_artifact_peer_hits_total", "Artifact loads served by a peer fetch.", a.PeerHits)
-		promCounter(w, "undefc_artifact_peer_misses_total", "Peer sweeps that found no artifact.", a.PeerMisses)
-		promCounter(w, "undefc_artifact_peer_errors_total", "Failed peer-fetch attempts (dead peer, torn body, bad frame).", a.PeerErrors)
-		promCounter(w, "undefc_artifact_bytes_fetched_total", "Frame bytes fetched from peers.", a.BytesFetched)
-		promCounter(w, "undefc_artifact_corrupt_total", "Frames or payloads that failed validation anywhere.", a.Corrupt)
-		promCounter(w, "undefc_artifact_encode_errors_total", "Programs that could not be serialized.", a.EncodeErrors)
-		promCounter(w, "undefc_artifact_served_total", "Frames served to fetching peers.", a.Served)
-		promCounter(w, "undefc_artifact_bytes_served_total", "Frame bytes served to fetching peers.", a.BytesServed)
 	}
 
 	if e := m.Explore; e != nil {

@@ -36,7 +36,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/artifact"
 	"repro/internal/ctypes"
 	"repro/internal/driver"
 	"repro/internal/fault"
@@ -109,20 +108,6 @@ type Config struct {
 	// obs.DefaultFlightEvents when an Injector is set (a chaos run without
 	// post-mortems is wasted), off otherwise. Negative disables explicitly.
 	Flight int
-	// ArtifactDir, when set, arms the content-addressed artifact tier
-	// under the compile cache: compiled programs are persisted there as
-	// checksummed frames keyed by driver.SourceKey, the directory
-	// survives restarts, and GET /v1/artifact/{key} serves frames to
-	// peer shards.
-	ArtifactDir string
-	// ArtifactMaxBytes caps the artifact store (default 256 MiB; < 0
-	// uncapped).
-	ArtifactMaxBytes int64
-	// ArtifactPeers are sibling shard addresses to fetch missing
-	// artifacts from before falling back to a local compile.
-	ArtifactPeers []string
-	// ArtifactFetchTimeout bounds each peer-fetch attempt (default 750ms).
-	ArtifactFetchTimeout time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -161,9 +146,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Flight < 0 {
 		c.Flight = 0
-	}
-	if c.ArtifactMaxBytes == 0 {
-		c.ArtifactMaxBytes = 256 << 20
 	}
 	return c
 }
@@ -208,12 +190,8 @@ type Server struct {
 	// /metrics as latency{e2e,queue,compile,run} with p50/p95/p99).
 	latE2E     obs.Histogram // whole /v1/analyze handler
 	latQueue   obs.Histogram // admission wait
-	latCompile obs.Histogram // frontend wait (cache hits are ~0)
+	latCompile obs.Histogram // frontend pass, or the wait on one (cache hits are ~0)
 	latRun     obs.Histogram // tool's own analysis
-
-	// artifacts is the content-addressed artifact tier under the compile
-	// cache; nil unless Config.ArtifactDir is set.
-	artifacts *artifact.Tier
 
 	mu         sync.Mutex
 	requests   map[string]int64
@@ -255,19 +233,6 @@ func New(cfg Config) (*Server, error) {
 		// invalidated program's bytecode goes with it.
 		s.cache.SetEvictHook(vm.Forget)
 	}
-	if cfg.ArtifactDir != "" {
-		tier, err := artifact.NewTier(artifact.Config{
-			Dir:          cfg.ArtifactDir,
-			MaxBytes:     cfg.ArtifactMaxBytes,
-			Peers:        cfg.ArtifactPeers,
-			FetchTimeout: cfg.ArtifactFetchTimeout,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("artifact tier: %w", err)
-		}
-		s.artifacts = tier
-		s.cache.SetArtifacts(tier)
-	}
 	s.mux = http.NewServeMux()
 	s.route("/v1/analyze", http.MethodPost, s.handleAnalyze)
 	s.route("/v1/batch", http.MethodPost, s.handleBatch)
@@ -279,7 +244,6 @@ func New(cfg Config) (*Server, error) {
 	s.route("/readyz", http.MethodGet, s.handleReadyz)
 	s.route("/metrics", http.MethodGet, s.handleMetrics)
 	s.route("/debug/config", http.MethodGet, s.handleConfig)
-	s.route("/v1/artifact/", http.MethodGet, s.handleArtifact)
 	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "not-found", "no such route: "+r.URL.Path)
 	})
@@ -398,10 +362,6 @@ func (s *Server) Metrics() *MetricsResponse {
 	if s.cfg.Engine == "vm" {
 		st := vm.Stats()
 		m.Bytecode = &st
-	}
-	if s.artifacts != nil {
-		st := s.artifacts.Stats()
-		m.Artifact = &st
 	}
 	if led := obs.CoverageSnapshot(); led.Registered > 0 {
 		m.Coverage = led

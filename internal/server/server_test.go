@@ -157,6 +157,29 @@ func TestAnalyzeGolden(t *testing.T) {
 	golden(t, "analyze_response.json", normalize(t, raw.Bytes()))
 }
 
+// TestRestartRecompiles pins what a restarted shard does with a request
+// its previous process already answered: no compiled program outlives the
+// process, so a second Server on the same inputs runs the frontend once
+// more and answers byte-identically, timings aside.
+func TestRestartRecompiles(t *testing.T) {
+	req := map[string]any{"source": "int main(void) { int a; return a; }\n", "file": "restart.c"}
+	var bodies [2][]byte
+	for i := range bodies {
+		srv, ts := newTestServer(t, Config{})
+		resp, raw := post(t, ts.URL, "/v1/analyze", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("server %d: status %d\n%s", i, resp.StatusCode, raw)
+		}
+		if st := srv.CacheStats(); st.Compiles != 1 || st.Misses != 1 {
+			t.Fatalf("server %d: cache stats = %+v, want exactly one compile", i, st)
+		}
+		bodies[i] = normalize(t, raw)
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Errorf("restarted server answered differently\n--- first ---\n%s\n--- second ---\n%s", bodies[0], bodies[1])
+	}
+}
+
 // TestBatchGolden pins the /v1/batch NDJSON framing: header line, one cell
 // line per case×tool in deterministic order (parallelism 1), trailer line.
 func TestBatchGolden(t *testing.T) {
