@@ -8,20 +8,19 @@ test:
 # shared-program, fault, observability, and server packages under the
 # race detector (the compile cache's single-flight must never hand a
 # contained panic to the callers parked on it), fail if the nil-observer
-# step path allocates, fail if starting a span without a collector
-# installed allocates, smoke-run the observer-overhead and span-overhead
-# benchmarks, exercise the end-to-end containment gate (a panic injected
-# at every site, at -j 1, 2 and 8, must fail exactly one cell and never
-# crash the suite), replay the fuzz seed corpora, run the daemon
-# lifecycle smoke test (boot on a free port, one analyze round-trip,
-# SIGTERM drain), and hold the bytecode VM to its fidelity contract:
-# the absolute golden event sequence, the full Figure-2 differential
-# against the tree walker, and the parallel 4-tool matrix under the
-# race detector (one compiled program shared by 8 workers). The search
-# gates: the parallel POR explorer must report byte-identical outcome
-# sets to the sequential DFS oracle on every suite case with choice
-# points, for both engines, and the whole search package must be
-# race-clean (workers share the frontier, the POR registry and the
+# step path or a one- or two-operand scheduling point allocates, fail if
+# starting a span without a collector installed allocates, smoke-run the
+# observer-overhead and span-overhead benchmarks, exercise the end-to-end
+# containment gate (a panic injected at every site, at -j 1, 2 and 8,
+# must fail exactly one cell and never crash the suite), replay the fuzz
+# seed corpora — FuzzPipeline's under the race detector, since it runs
+# one compiled program on 8 goroutines at once and requires results
+# byte-identical to a sequential run and to an observed run — and run the
+# daemon lifecycle smoke test (boot on a free port, one analyze
+# round-trip, SIGTERM drain). The search gates: the parallel POR explorer
+# must report byte-identical outcome sets to the sequential DFS oracle on
+# every suite case with choice points, and the whole search package must
+# be race-clean (workers share the frontier, the POR registry and the
 # dedup table). The cluster gates: the ring/breaker/failover/
 # single-flight package race-clean, the router smoke (one shard + one
 # router, analyze round-trip, clean SIGTERM drains), and the chaos gate
@@ -50,27 +49,23 @@ check: test
 	go test ./internal/interp/ -run '^$$' -bench BenchmarkObserverOverhead -benchtime 100x
 	go test ./internal/obs/ -run '^$$' -bench BenchmarkSpanOverhead -benchtime 100x
 	go test ./cmd/ubsuite/ -run TestContainmentGate -count=1
-	go test ./internal/lexer/ ./internal/parser/ ./internal/cpp/ ./internal/vm/ -run '^Fuzz' -count=1
+	go test ./internal/lexer/ ./internal/parser/ ./internal/cpp/ -run '^Fuzz' -count=1
+	go test -race ./internal/interp/ -run '^FuzzPipeline$$' -count=1
 	go test ./cmd/undefd/ -run 'TestDaemonSmoke|TestRouterSmoke' -count=1
-	go test ./internal/vm/ -run 'TestGoldenEventSequenceVM|TestEngineDiff' -count=1
-	go test -race ./internal/vm/ -run TestMatrixParallelVM -count=1
 	go test ./internal/search/ -run 'TestDifferentialGate|TestExploreConfigMatrix' -count=1
 	go test -race ./internal/search/ -count=1
 	go run ./cmd/undefbench -cluster 3 -kill 1 -c 12 -d 6s -inject 'cluster.forward=error%0.01' -seed 1
 
-# Engine speedup: the pre-compiled program, tree-vs-vm dispatch benchmark
-# (reported in EXPERIMENTS.md).
-.PHONY: bench-vm
-bench-vm:
-	go test -run '^$$' -bench 'BenchmarkInterpOnly|BenchmarkTortureSuite' -benchtime 1s -count 3
-
-# Fuzz smoke: 30s of coverage-guided fuzzing per frontend stage. New
-# crashers land in testdata/fuzz/ and become permanent regression seeds.
+# Fuzz smoke: 30s of coverage-guided fuzzing per frontend stage, for the
+# whole pipeline (FuzzPipeline: frontend + interpreter), and for the
+# search. New crashers land in testdata/fuzz/ and become permanent
+# regression seeds.
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	go test ./internal/lexer/ -run=NONE -fuzz=FuzzLexer -fuzztime 30s
 	go test ./internal/parser/ -run=NONE -fuzz=FuzzParser -fuzztime 30s
 	go test ./internal/cpp/ -run=NONE -fuzz=FuzzCPP -fuzztime 30s
+	go test ./internal/interp/ -run=NONE -fuzz=FuzzPipeline -fuzztime 30s
 	go test ./internal/search/ -run=NONE -fuzz=FuzzExploreDiff -fuzztime 30s
 
 # Serving throughput: a 10s closed-loop load run against an in-process

@@ -37,29 +37,21 @@ func BenchmarkFigure2(b *testing.B) {
 }
 
 // BenchmarkFigure2Parallel regenerates the same table on the worker-pool
-// executor with all CPUs, once per execution engine. Compare against
-// BenchmarkFigure2 (the single-worker baseline): the §5.1.2 point is that
-// the case×tool matrix is embarrassingly parallel once the frontend pass
-// is shared. The tree/vm pair isolates the engines end-to-end — note each
-// iteration uses a fresh compile cache, so the vm recompiles its bytecode
-// per iteration (the serving path amortizes it; see BenchmarkInterpOnly
-// for the steady-state engine comparison).
+// executor with all CPUs. Compare against BenchmarkFigure2 (the
+// single-worker baseline): the §5.1.2 point is that the case×tool matrix
+// is embarrassingly parallel once the frontend pass is shared.
 func BenchmarkFigure2Parallel(b *testing.B) {
 	s := suite.Juliet()
-	for _, engine := range []string{"tree", "vm"} {
-		b.Run(engine, func(b *testing.B) {
-			ts := tools.All(tools.Config{Engine: engine})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				fig, err := runner.RunJulietOpts(s, ts, runner.Options{Engine: engine})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if fig.Overall["kcc"].Flagged == 0 {
-					b.Fatal("empty figure")
-				}
-			}
-		})
+	ts := tools.All(tools.Config{})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fig, err := runner.RunJulietOpts(s, ts, runner.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if fig.Overall["kcc"].Flagged == 0 {
+			b.Fatal("empty figure")
+		}
 	}
 }
 
@@ -248,30 +240,20 @@ func BenchmarkInterpSieve(b *testing.B) {
 }
 
 // BenchmarkInterpOnly isolates pure execution speed on a compute-bound
-// program: the translation unit is compiled once outside the timer (and,
-// for the vm, its closure code on the warm run), so each iteration
-// measures only the engine's own dispatch. The tree/vm ratio here is the
-// bytecode VM's headline interp speedup (EXPERIMENTS.md).
+// program: the translation unit is compiled once outside the timer, so
+// each iteration measures only the tree walker. Its allocs/op is
+// deterministic (EXPERIMENTS.md, "Bytecode VM removed").
 func BenchmarkInterpOnly(b *testing.B) {
 	prog, err := undefc.Compile(suite.Torture()[1].Source, "sieve.c", undefc.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, engine := range []string{"tree", "vm"} {
-		b.Run(engine, func(b *testing.B) {
-			// Warm run: populates the vm's compiled-code cache (a no-op for
-			// the tree walker) and sanity-checks the program.
-			if res := interp.Run(prog, interp.Options{Engine: engine}); res.UB != nil || res.Err != nil {
-				b.Fatal(res.UB, res.Err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res := interp.Run(prog, interp.Options{Engine: engine})
-				if res.UB != nil || res.Err != nil {
-					b.Fatal(res.UB, res.Err)
-				}
-			}
-		})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := interp.Run(prog, interp.Options{})
+		if res.UB != nil || res.Err != nil {
+			b.Fatal(res.UB, res.Err)
+		}
 	}
 }
 

@@ -11,8 +11,6 @@
 //
 //	-addr            listen address (default 127.0.0.1:8790; :0 picks a port)
 //	-model           default implementation-defined model (LP64, ILP32, INT8)
-//	-engine          execution engine: tree (default) or vm (pre-compiled
-//	                 closure code; identical verdicts, faster)
 //	-concurrency N   analyses executing at once (0 = all CPUs)
 //	-queue N         admission queue depth beyond that (429 when full)
 //	-timeout d       default per-request watchdog
@@ -89,7 +87,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "127.0.0.1:8790", "listen address (:0 picks a free port)")
 	model := fs.String("model", "LP64", "default implementation-defined model: LP64, ILP32, or INT8")
-	engine := fs.String("engine", "", "execution engine: tree (default) or vm")
 	concurrency := fs.Int("concurrency", 0, "analyses executing at once (0 = all CPUs)")
 	queueDepth := fs.Int("queue", 64, "admission queue depth; arrivals beyond it get 429")
 	timeout := fs.Duration("timeout", 5*time.Second, "default per-request watchdog")
@@ -150,7 +147,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	}
 	srv, err := server.New(server.Config{
 		Model:          *model,
-		Engine:         *engine,
 		Concurrency:    *concurrency,
 		QueueDepth:     *queueDepth,
 		DefaultTimeout: *timeout,

@@ -47,22 +47,6 @@ type Cache struct {
 
 	// observer, when set, receives EvCacheHit/EvCacheMiss per lookup.
 	observer obs.Observer
-
-	// onEvict, when set, is called with the evicted entry's program
-	// whenever a completed entry that produced one is dropped (Invalidate;
-	// failure evictions carry no program). Derived caches keyed by the
-	// *sema.Program pointer — the vm's compiled-code cache — hook this so
-	// they never outlive the program interning that makes their key sound.
-	onEvict func(*sema.Program)
-}
-
-// SetEvictHook installs fn to run for every evicted entry that holds a
-// program. The hook runs outside the cache lock and must be safe for
-// concurrent use. Set it before sharing the cache across goroutines.
-func (c *Cache) SetEvictHook(fn func(*sema.Program)) {
-	c.mu.Lock()
-	c.onEvict = fn
-	c.mu.Unlock()
 }
 
 // SetObserver attaches an observer to the cache: every lookup emits an
@@ -258,11 +242,7 @@ func (c *Cache) Invalidate(src, file string, opts Options) bool {
 	}
 	delete(c.entries, k)
 	c.evictions++
-	hook := c.onEvict
 	c.mu.Unlock()
-	if hook != nil && e.prog != nil {
-		hook(e.prog)
-	}
 	return true
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/ctypes"
-	"repro/internal/sema"
 )
 
 const cacheTestSrc = `
@@ -213,15 +212,15 @@ func TestCacheStatsConcurrent(t *testing.T) {
 	}
 }
 
-// TestCacheEvictHook pins the coherence contract with program-keyed
-// derived caches (the vm's compiled code): Invalidate hands the evicted
-// entry's program to the hook exactly once; failure entries, which carry
-// no program, never reach it.
-func TestCacheEvictHook(t *testing.T) {
+// TestCacheInvalidate pins Invalidate's contract: it drops a completed
+// entry exactly once (the next lookup recompiles to a fresh program), a
+// second Invalidate finds nothing, and a cached compile failure is evicted
+// like any other entry.
+func TestCacheInvalidate(t *testing.T) {
 	c := NewCache()
-	var evicted []*sema.Program
-	c.SetEvictHook(func(p *sema.Program) { evicted = append(evicted, p) })
-
+	if c.Invalidate(cacheTestSrc, "t.c", Options{}) {
+		t.Error("Invalidate on empty cache returned true")
+	}
 	prog, err := c.Compile(cacheTestSrc, "t.c", Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -229,19 +228,28 @@ func TestCacheEvictHook(t *testing.T) {
 	if !c.Invalidate(cacheTestSrc, "t.c", Options{}) {
 		t.Fatal("Invalidate found no entry")
 	}
-	if len(evicted) != 1 || evicted[0] != prog {
-		t.Fatalf("hook saw %d programs, want exactly the invalidated one", len(evicted))
+	if st := c.Stats(); st.Evictions != 1 || c.Len() != 0 {
+		t.Fatalf("after Invalidate: %d evictions, %d entries; want 1, 0", st.Evictions, c.Len())
 	}
 	if c.Invalidate(cacheTestSrc, "t.c", Options{}) {
 		t.Error("second Invalidate removed something")
 	}
+	again, err := c.Compile(cacheTestSrc, "t.c", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again == prog || c.Stats().Misses != 2 {
+		t.Errorf("lookup after Invalidate was served the evicted program (misses %d)", c.Stats().Misses)
+	}
 
-	// A cached compile failure holds no program: evicting it is silent.
+	// A cached compile failure is an entry too: evicting it counts.
 	if _, err := c.Compile("int main(void) { return }", "bad.c", Options{}); err == nil {
 		t.Fatal("expected a compile error")
 	}
-	c.Invalidate("int main(void) { return }", "bad.c", Options{})
-	if len(evicted) != 1 {
-		t.Errorf("hook saw %d programs after failure eviction, want 1", len(evicted))
+	if !c.Invalidate("int main(void) { return }", "bad.c", Options{}) {
+		t.Error("Invalidate did not find the cached failure")
+	}
+	if st := c.Stats(); st.Evictions != 2 {
+		t.Errorf("evictions = %d after failure eviction, want 2", st.Evictions)
 	}
 }

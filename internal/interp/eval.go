@@ -441,7 +441,8 @@ func (in *Interp) evalBinary(e *cast.Binary) (mem.Value, error) {
 
 	// Other binary operators: operands are unsequenced — ask the scheduler.
 	var xv, yv mem.Value
-	for _, which := range in.order(2) {
+	first, second := in.order2()
+	for _, which := range [2]int{first, second} {
 		var err error
 		if which == 0 {
 			xv, err = in.eval(e.X)
@@ -451,7 +452,7 @@ func (in *Interp) evalBinary(e *cast.Binary) (mem.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		in.OperandDone()
+		in.operandDone()
 	}
 	var err error
 	if xv, err = in.usable(xv, e.P); err != nil {
@@ -779,7 +780,8 @@ func (in *Interp) shift(op cast.BinaryOp, xv, yv mem.Value, t *ctypes.Type, pos 
 // pointer.
 func (in *Interp) evalPtrAdd(xe, ie cast.Expr, pos token.Pos) (mem.Value, error) {
 	var xv, iv mem.Value
-	for _, which := range in.order(2) {
+	first, second := in.order2()
+	for _, which := range [2]int{first, second} {
 		var err error
 		if which == 0 {
 			xv, err = in.eval(xe)
@@ -789,7 +791,7 @@ func (in *Interp) evalPtrAdd(xe, ie cast.Expr, pos token.Pos) (mem.Value, error)
 		if err != nil {
 			return nil, err
 		}
-		in.OperandDone()
+		in.operandDone()
 	}
 	var err error
 	if xv, err = in.usable(xv, pos); err != nil {
@@ -1001,7 +1003,8 @@ func (in *Interp) evalAssign(e *cast.Assign) (mem.Value, error) {
 	// after both.
 	var lv LV
 	var rv mem.Value
-	for _, which := range in.order(2) {
+	first, second := in.order2()
+	for _, which := range [2]int{first, second} {
 		var err error
 		if which == 0 {
 			lv, err = in.lvalOf(e.L)
@@ -1011,7 +1014,7 @@ func (in *Interp) evalAssign(e *cast.Assign) (mem.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		in.OperandDone()
+		in.operandDone()
 	}
 	if e.HasOp {
 		old, err := in.read(lv, e.P)

@@ -715,24 +715,9 @@ func (in *Interp) evalCall(e *cast.Call) (mem.Value, error) {
 			return nil, err
 		}
 		if n > 1 {
-			in.OperandDone()
+			in.operandDone()
 		}
 	}
-	return in.FinishCall(e, vals, in.callUser)
-}
-
-// CallFunc invokes a user-defined function with already-converted
-// arguments. Each engine supplies its own: the tree walker's executes the
-// AST body, the bytecode VM's dispatches into compiled code.
-type CallFunc func(fd *cast.FuncDef, args []mem.Value, pos token.Pos) (mem.Value, error)
-
-// FinishCall performs the engine-independent tail of a call expression:
-// the post-argument sequence point, designator checks, builtin dispatch,
-// call-compatibility checks (§6.5.2.2), argument conversion, and finally
-// the user-function invocation through call. vals is the evaluated
-// designator (index 0) followed by the evaluated arguments, in source
-// order.
-func (in *Interp) FinishCall(e *cast.Call, vals []mem.Value, call CallFunc) (mem.Value, error) {
 	// Sequence point after evaluating designator and arguments
 	// (C11 §6.5.2.2:10).
 	in.seqPoint()
@@ -845,21 +830,14 @@ func (in *Interp) FinishCall(e *cast.Call, vals []mem.Value, call CallFunc) (mem
 		}
 		args[i] = cv
 	}
-	return call(fd, args, e.P)
+	return in.callUser(fd, args, e.P)
 }
 
-// callUser invokes a user-defined function with converted arguments,
-// executing its body by walking the AST.
+// callUser invokes a user-defined function with converted arguments: the
+// call depth budget, frame/sequence-state push and pop, parameter object
+// allocation, executing the body, block-lifetime teardown, and the
+// mapping from the body's control signal to the call's value (§6.9.1).
 func (in *Interp) callUser(fd *cast.FuncDef, args []mem.Value, pos token.Pos) (mem.Value, error) {
-	return in.InvokeUser(fd, args, pos, func() (Ctrl, error) { return in.exec(fd.Body) })
-}
-
-// InvokeUser is the engine-independent function-call protocol: the call
-// depth budget, frame/sequence-state push and pop, parameter object
-// allocation, block-lifetime teardown, and the mapping from the body's
-// control signal to the call's value (§6.9.1). body executes fd's body —
-// the tree walker passes in.exec(fd.Body), the VM its compiled code.
-func (in *Interp) InvokeUser(fd *cast.FuncDef, args []mem.Value, pos token.Pos, body func() (Ctrl, error)) (mem.Value, error) {
 	if len(in.frames) >= in.budget.MaxCallDepth {
 		return nil, &BudgetError{Msg: "call depth exceeded in " + fd.Name}
 	}
@@ -892,7 +870,7 @@ func (in *Interp) InvokeUser(fd *cast.FuncDef, args []mem.Value, pos token.Pos, 
 		in.markQualRanges(o.ID, 0, p.Type)
 	}
 
-	c, err := body()
+	c, err := in.exec(fd.Body)
 	if err != nil {
 		return nil, err
 	}

@@ -30,11 +30,6 @@ import (
 
 // Options configure an execution.
 type Options struct {
-	// Engine selects the execution engine: "" or "tree" is the reference
-	// tree-walking evaluator; other names resolve through RegisterEngine
-	// (internal/vm registers "vm"). Every engine must produce byte-identical
-	// verdicts and observer event sequences; the tree walker is the oracle.
-	Engine string
 	// Out receives the program's standard output.
 	Out io.Writer
 	// Sched decides evaluation order for unsequenced operands; nil means
@@ -291,24 +286,19 @@ func New(prog *sema.Program, opts Options) *Interp {
 	return in
 }
 
-// Run executes the program: global initialization, then main(), under
-// the engine Options.Engine selects (default: the tree walker).
+// Run executes the program: global initialization, then main().
 func Run(prog *sema.Program, opts Options) Result {
 	return New(prog, opts).RunMachine()
 }
 
-// RunMachine executes a New-prepared interpreter under Options.Engine,
-// folding the outcome into a Result exactly as Run does. It exists for
-// drivers that need live access to the machine during the run — the
-// search's partial-order-reduction recorder reads allocation counters and
-// state digests through the Interp it constructed — and must be called at
-// most once per Interp.
+// RunMachine executes a New-prepared interpreter, folding the outcome
+// into a Result exactly as Run does. It exists for drivers that need live
+// access to the machine during the run — the search's
+// partial-order-reduction recorder reads allocation counters and state
+// digests through the Interp it constructed — and must be called at most
+// once per Interp.
 func (in *Interp) RunMachine() Result {
-	engine, err := engineFor(in.opts.Engine)
-	if err != nil {
-		return Result{ExitCode: 1, Err: err}
-	}
-	code, err := engine(in)
+	code, err := in.execute()
 	res := Result{ExitCode: code}
 	if in.outBuf != nil {
 		res.Output = in.outBuf.String()
@@ -325,16 +315,18 @@ func (in *Interp) RunMachine() Result {
 	return res
 }
 
-// Execute initializes globals and calls main, walking the AST.
-func (in *Interp) Execute() (int, error) {
-	return in.ExecuteWith(in.callUser)
-}
+// MemStore exposes the memory store, for drivers that read allocation
+// counters during a run.
+func (in *Interp) MemStore() *mem.Store { return in.store }
 
-// ExecuteWith initializes globals and calls main through the supplied
-// engine invoker. Global initialization is engine-independent (init plans
-// are interpreted, never compiled), so every engine produces the same
-// startup event stream by construction.
-func (in *Interp) ExecuteWith(call CallFunc) (int, error) {
+// SynthAddrCasts reports how many times execution has exposed a synthetic
+// object address as an integer value so far (ptr→int conversion, pointer
+// byte concretization). The counter only moves for pointers into real
+// objects — null and forged pointers don't depend on allocation order.
+func (in *Interp) SynthAddrCasts() int64 { return in.synthCasts }
+
+// execute initializes globals and calls main, walking the AST.
+func (in *Interp) execute() (int, error) {
 	if err := in.initGlobals(); err != nil {
 		return in.exitCode(err)
 	}
@@ -348,7 +340,7 @@ func (in *Interp) ExecuteWith(call CallFunc) (int, error) {
 		return in.exitCode(err)
 	}
 	in.seq = append(in.seq, newSeqState())
-	v, err := call(mainFn, args, mainFn.P)
+	v, err := in.callUser(mainFn, args, mainFn.P)
 	if err != nil {
 		return in.exitCode(err)
 	}

@@ -31,8 +31,8 @@ func benchInterp(tb testing.TB, o obs.Observer) *Interp {
 
 // TestNilObserverPathAllocs is the acceptance gate: with no observer
 // attached, every emission site must be a single nil check — zero
-// allocations on the step loop, sequence points, memory-event and
-// check-pass hooks.
+// allocations on the step loop, sequence points, the one- and two-operand
+// scheduling points, memory-event and check-pass hooks.
 func TestNilObserverPathAllocs(t *testing.T) {
 	in := benchInterp(t, nil)
 	pos := token.Pos{File: "bench.c", Line: 1, Col: 1}
@@ -42,6 +42,8 @@ func TestNilObserverPathAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		in.seqPoint()
+		in.order2()
+		in.order(1)
 		in.obsCheckPass(ub.DivByZero, pos)
 		in.obsMem(obs.EvRead, o, 0, 4, pos)
 		in.obsBuiltin("printf", pos)

@@ -58,8 +58,8 @@ func (in *Interp) obsCheckPass(b *ub.Behavior, pos token.Pos) {
 
 // order consults the scheduler for an evaluation order over n unsequenced
 // operands and reports the choice. All interpreter scheduling goes through
-// this method rather than the free order() function so EvSched events
-// cannot be missed by a new call site.
+// this method (or order2) rather than the free order() function so EvSched
+// events cannot be missed by a new call site.
 func (in *Interp) order(n int) []int {
 	perm := order(in.sched, n)
 	if in.obs != nil {
@@ -71,6 +71,35 @@ func (in *Interp) order(n int) []int {
 		in.obs.Event(&in.obsEv)
 	}
 	return perm
+}
+
+// order2 is the allocation-free two-operand scheduling point. It makes
+// the identical Pick(2), Pick(1) calls order(2) makes (the Trace scheduler
+// logs every Pick, so search replay depends on the sequence) and emits the
+// identical EvSched event.
+func (in *Interp) order2() (first, second int) {
+	first = in.sched.Pick(2)
+	if first != 0 && first != 1 {
+		// Mirror the general path, which would index out of range.
+		panic("interp: scheduler Pick(2) out of range")
+	}
+	in.sched.Pick(1)
+	if in.obs != nil {
+		in.obsEv = obs.Event{Kind: obs.EvSched, Choice: first, Fanout: 2}
+		in.obs.Event(&in.obsEv)
+	}
+	return first, 1 - first
+}
+
+// operandDone tells an OperandTracker scheduler (if one is installed) that
+// one operand of the innermost multi-operand scheduling point finished
+// evaluating. Callers invoke it after each successfully evaluated operand
+// of a point with fanout ≥ 2; error paths skip it, leaving the point
+// incomplete (an incomplete point is never pruned).
+func (in *Interp) operandDone() {
+	if in.tracker != nil {
+		in.tracker.OperandDone()
+	}
 }
 
 // obsBuiltin reports a call to a library builtin.

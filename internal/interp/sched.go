@@ -14,9 +14,7 @@ type Scheduler interface {
 // OperandTracker is an optional extension a Scheduler can implement to
 // follow the structure of scheduling points, not just their decisions.
 // The interpreter notifies the tracker once after each operand of a
-// multi-operand scheduling point finishes evaluating; both engines make
-// the identical calls at the identical places, so a tracker sees the same
-// sequence under "tree" and "vm".
+// multi-operand scheduling point finishes evaluating.
 //
 // Pairing notifications with points needs no extra protocol: the whole
 // permutation of a point is drawn eagerly (Pick(n), Pick(n−1), …, Pick(1)
@@ -75,10 +73,14 @@ func (t *Trace) Pick(n int) int {
 	return c
 }
 
+// oneOperand is the order of every single-operand point. It is shared
+// and read-only: callers only range over the slice order returns.
+var oneOperand = []int{0}
+
 // order asks the scheduler for a complete evaluation order of n operands.
 func order(s Scheduler, n int) []int {
 	if n == 1 {
-		return []int{0}
+		return oneOperand
 	}
 	remaining := make([]int, n)
 	for i := range remaining {

@@ -9,18 +9,17 @@ package obs
 //
 // The design splits a static and a dynamic half:
 //
-//   - At init time every interp/vm check site registers a
+//   - At init time every interp check site registers a
 //     (behavior code, profile gate, site) triple via RegisterCheckSite.
 //     The registry is written only during package initialization and is
 //     read-only afterwards, so snapshots read it without locks.
 //   - At run time the two check funnels (interp.ubError and
-//     interp.obsCheckPass, which the VM reaches through the same exported
-//     wrappers) bump one fixed-size atomic counter each: CoverageHit is a
+//     interp.obsCheckPass) bump one fixed-size atomic counter each: CoverageHit is a
 //     single indexed atomic add, allocation-free, and independent of
 //     whether an Observer is installed — the ledger is always on.
 //
 // Counter totals are order-independent sums, so a parallel matrix run
-// (-j 8) and both engines produce identical ledgers by construction.
+// (-j 8) and a sequential one produce identical ledgers by construction.
 
 import (
 	"sort"

@@ -6,7 +6,7 @@ package runner
 // semantics registers checks for the suite never even *fires*. The render
 // is a pure function of the ledger, and the ledger's counters are
 // order-independent sums, so a full-suite run produces a byte-identical
-// report regardless of -j worker count or execution engine.
+// report regardless of -j worker count.
 
 import (
 	"fmt"

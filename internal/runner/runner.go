@@ -29,7 +29,6 @@ import (
 	"repro/internal/suite"
 	"repro/internal/tools"
 	"repro/internal/ub"
-	"repro/internal/vm"
 )
 
 // SiteAnalyze is the fault-injection site fired before each matrix cell;
@@ -65,14 +64,6 @@ type Options struct {
 	// threaded into the shared frontend (driver.compile site). Tools carry
 	// their own injector via tools.Config.
 	Injector *fault.Injector
-	// Engine names the execution engine the tools were configured with
-	// (tools.Config.Engine); it must match. When "vm", the runner warms
-	// the compiled closure code right after each case's shared frontend
-	// pass — so the first tool to reach a cell never pays the bytecode
-	// compile inside its measured analysis — and wires the compile cache's
-	// eviction hook to vm.Forget, keeping the two program-keyed caches
-	// coherent across Invalidate-driven retries.
-	Engine string
 	// OnCell, when set, is invoked for every completed matrix cell as soon
 	// as its report exists — the streaming hook batch servers use to emit
 	// per-case results while the run is still going.
@@ -170,9 +161,6 @@ func RunMatrix(s *suite.Suite, ts []tools.Tool, opts Options) (*MatrixResult, er
 	cache := opts.Cache
 	if cache == nil {
 		cache = driver.NewCache()
-	}
-	if opts.Engine == "vm" {
-		cache.SetEvictHook(vm.Forget)
 	}
 	copts := driver.Options{Model: opts.Model, Defines: opts.Defines, Injector: opts.Injector}
 	before := cache.Stats()
@@ -323,7 +311,7 @@ func analyzeCell(ctx context.Context, cache *driver.Cache, t tools.Tool, c *suit
 		if err := opts.Injector.Fire(SiteAnalyze, unit); err != nil {
 			return err
 		}
-		rep = analyzeShared(ctx, cache, t, c, copts, opts)
+		rep = analyzeShared(ctx, cache, t, c, copts)
 		return nil
 	})
 	if err != nil {
@@ -336,7 +324,7 @@ func analyzeCell(ctx context.Context, cache *driver.Cache, t tools.Tool, c *suit
 // shared across tools and workers) and runs the tool's fast path. The
 // report carries only the tool's own RunDuration — the shared compile is
 // accounted once, in FrontendStats, not once per tool.
-func analyzeShared(ctx context.Context, cache *driver.Cache, t tools.Tool, c *suite.Case, copts driver.Options, opts Options) tools.Report {
+func analyzeShared(ctx context.Context, cache *driver.Cache, t tools.Tool, c *suite.Case, copts driver.Options) tools.Report {
 	prog, err := cache.CompileCtx(ctx, c.Source, c.Name+".c", copts)
 	if err != nil {
 		rep := tools.ReportFromError(err)
@@ -344,12 +332,6 @@ func analyzeShared(ctx context.Context, cache *driver.Cache, t tools.Tool, c *su
 			rep.Detail = "compile: " + err.Error()
 		}
 		return rep
-	}
-	if opts.Engine == "vm" {
-		// Warm the closure code next to the shared frontend pass: later
-		// tools (and the first one) find it already compiled, the same way
-		// they find the program.
-		vm.CodeFor(prog)
 	}
 	return t.AnalyzeProgram(ctx, prog, c.Name+".c")
 }

@@ -174,7 +174,6 @@ func (e *explorer) runOne(prefix []int) {
 
 	rec := newRecorder(e, prefix)
 	iopts := interp.Options{
-		Engine:  e.opts.Engine,
 		Sched:   rec,
 		Out:     rec.sink,
 		Budget:  interp.Budget{MaxSteps: e.opts.MaxSteps},

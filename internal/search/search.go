@@ -65,13 +65,6 @@ type Options struct {
 	MaxSteps int64
 	// StopAtFirstUB ends the search as soon as any UB is found.
 	StopAtFirstUB bool
-	// Engine selects the execution engine for every run ("" or "tree":
-	// the reference tree walker; "vm": pre-compiled closure code). The
-	// engines make identical scheduler Pick sequences, so the decision
-	// tree — and therefore the set of behaviors found — is the same;
-	// "vm" just walks it faster, and the search amortizes one compile
-	// over every explored order.
-	Engine string
 	// Parallelism is the number of worker goroutines executing runs
 	// (0 or negative = GOMAXPROCS). Workers pull decision prefixes from a
 	// shared frontier; every run is an independent interpreter instance,
@@ -192,8 +185,8 @@ func Explore(ctx context.Context, prog *sema.Program, opts Options) Result {
 // no pruning and no deduplication — every leaf is executed. It is the
 // oracle implementation: the differential gate asserts that Explore (with
 // any Parallelism/POR/Dedup combination) finds exactly the outcome set
-// ExploreDFS finds. Only MaxRuns, MaxSteps, StopAtFirstUB, and Engine are
-// honored.
+// ExploreDFS finds. Only MaxRuns, MaxSteps, StopAtFirstUB, and Context
+// are honored.
 func ExploreDFS(ctx context.Context, prog *sema.Program, opts Options) Result {
 	if ctx == nil {
 		ctx = opts.Context
@@ -223,7 +216,7 @@ func ExploreDFS(ctx context.Context, prog *sema.Program, opts Options) Result {
 			return res
 		}
 		tr := &interp.Trace{Prefix: append([]int{}, prefix...)}
-		runRes := interp.Run(prog, interp.Options{Engine: opts.Engine, Sched: tr, Budget: interp.Budget{MaxSteps: opts.MaxSteps}, Context: ctx})
+		runRes := interp.Run(prog, interp.Options{Sched: tr, Budget: interp.Budget{MaxSteps: opts.MaxSteps}, Context: ctx})
 		res.Runs++
 		if ctx != nil && ctx.Err() != nil {
 			// The run was interrupted mid-execution: its outcome is an

@@ -16,7 +16,6 @@ import (
 	"repro/internal/runner"
 	"repro/internal/search"
 	"repro/internal/ub"
-	"repro/internal/vm"
 )
 
 // APISchema identifies the service wire format. Consumers should reject
@@ -349,9 +348,6 @@ type MetricsResponse struct {
 	Queue    QueueStats        `json:"queue"`
 	Coalesce CoalesceStats     `json:"coalesce"`
 	Cache    driver.CacheStats `json:"cache"`
-	// Bytecode is the compiled-code cache of the "vm" engine, present only
-	// when the server runs with Config.Engine "vm".
-	Bytecode *vm.CacheStats `json:"bytecode,omitempty"`
 	// Latency holds the server-side latency distributions of the analyze
 	// path, keyed "e2e", "queue", "compile", "run" — each with count, sum,
 	// min/max and precomputed p50/p95/p99. "compile" times only the
@@ -388,7 +384,6 @@ type ConfigResponse struct {
 	Model          string   `json:"model"`
 	ShardID        string   `json:"shard_id,omitempty"`
 	Defines        []string `json:"defines,omitempty"`
-	Engine         string   `json:"engine,omitempty"`
 	Concurrency    int      `json:"concurrency"`
 	QueueDepth     int      `json:"queue_depth"`
 	DefaultTimeout string   `json:"default_timeout"`

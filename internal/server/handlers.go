@@ -55,7 +55,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	tcfg := tools.Config{
 		Model:    model,
-		Engine:   s.cfg.Engine,
 		Budget:   s.budgetFor(req.MaxSteps),
 		Metrics:  req.Metrics,
 		Timeout:  timeout,
@@ -268,7 +267,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad-request", "case_timeout: "+err.Error())
 		return
 	}
-	tcfg := tools.Config{Model: model, Engine: s.cfg.Engine, Budget: s.budgetFor(req.MaxSteps), Metrics: req.Metrics, Injector: s.cfg.Injector, Flight: s.cfg.Flight}
+	tcfg := tools.Config{Model: model, Budget: s.budgetFor(req.MaxSteps), Metrics: req.Metrics, Injector: s.cfg.Injector, Flight: s.cfg.Flight}
 	toolNames := req.Tools
 	if len(toolNames) == 0 {
 		toolNames = []string{"kcc"}
@@ -495,7 +494,6 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		MaxRuns:       maxRuns,
 		MaxSteps:      req.MaxSteps,
 		StopAtFirstUB: req.StopAtFirstUB,
-		Engine:        s.cfg.Engine,
 		Parallelism:   par,
 		POR:           por,
 		Dedup:         dedup,
@@ -713,7 +711,6 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 		Model:          s.cfg.Model,
 		ShardID:        s.cfg.ShardID,
 		Defines:        s.cfg.Defines,
-		Engine:         s.cfg.Engine,
 		Concurrency:    s.cfg.Concurrency,
 		QueueDepth:     s.cfg.QueueDepth,
 		DefaultTimeout: s.cfg.DefaultTimeout.String(),

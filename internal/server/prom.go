@@ -54,13 +54,6 @@ func writePrometheus(w http.ResponseWriter, m *MetricsResponse) {
 	promCounter(w, "undefc_cache_evictions_total", "Cache entries dropped.", m.Cache.Evictions)
 	promCounter(w, "undefc_cache_compiles_total", "Cache misses that ran the frontend.", m.Cache.Compiles)
 
-	if b := m.Bytecode; b != nil {
-		promCounter(w, "undefc_bytecode_hits_total", "Compiled-code cache hits (vm engine).", int64(b.Hits))
-		promCounter(w, "undefc_bytecode_misses_total", "Compiled-code cache misses (bytecode compiles).", int64(b.Misses))
-		promCounter(w, "undefc_bytecode_evictions_total", "Compiled-code cache entries dropped.", int64(b.Evictions))
-		promGauge(w, "undefc_bytecode_cached", "Programs with compiled code resident.", float64(b.Size))
-	}
-
 	if e := m.Explore; e != nil {
 		promCounter(w, "undefc_explore_searches_total", "Evaluation-order searches completed.", e.Searches)
 		promCounter(w, "undefc_explore_orders_total", "Evaluation orders executed across all searches.", e.OrdersExplored)

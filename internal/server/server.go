@@ -43,7 +43,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/search"
 	"repro/internal/tools"
-	"repro/internal/vm"
 )
 
 // SiteHandle is the fault-injection site fired at the top of every
@@ -62,12 +61,6 @@ type Config struct {
 	// Defines are macro definitions applied to every compile, before any
 	// per-request defines.
 	Defines []string
-	// Engine selects the execution engine for every analysis ("" or
-	// "tree": the reference tree walker; "vm": pre-compiled closure code).
-	// The engines are verdict- and event-equivalent; "vm" amortizes one
-	// bytecode compile per translation unit across the requests the
-	// compile cache coalesces onto it.
-	Engine string
 	// Concurrency bounds simultaneously executing analyses (default:
 	// GOMAXPROCS).
 	Concurrency int
@@ -209,9 +202,6 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := validEngine(cfg.Engine); err != nil {
-		return nil, err
-	}
 	s := &Server{
 		cfg:        cfg,
 		model:      model,
@@ -228,11 +218,6 @@ func New(cfg Config) (*Server, error) {
 		s.traces = obs.NewTraceBuffer(cfg.TraceBufferSize)
 	}
 	s.spans = obs.NewSpanRing(0, 0)
-	if cfg.Engine == "vm" {
-		// Keep the compiled-code cache coherent with the compile cache: an
-		// invalidated program's bytecode goes with it.
-		s.cache.SetEvictHook(vm.Forget)
-	}
 	s.mux = http.NewServeMux()
 	s.route("/v1/analyze", http.MethodPost, s.handleAnalyze)
 	s.route("/v1/batch", http.MethodPost, s.handleBatch)
@@ -359,10 +344,6 @@ func (s *Server) Metrics() *MetricsResponse {
 		Cache:         s.cache.Stats(),
 		Draining:      s.draining.Load(),
 	}
-	if s.cfg.Engine == "vm" {
-		st := vm.Stats()
-		m.Bytecode = &st
-	}
 	if led := obs.CoverageSnapshot(); led.Registered > 0 {
 		m.Coverage = led
 	}
@@ -459,20 +440,6 @@ func ModelFor(name string) (*ctypes.Model, error) {
 		return ctypes.Int8(), nil
 	}
 	return nil, fmt.Errorf("unknown model %q (want LP64, ILP32, or INT8)", name)
-}
-
-// validEngine checks a configured engine name against the registry, so a
-// daemon started with a typo'd -engine fails at startup, not per request.
-func validEngine(name string) error {
-	if name == "" {
-		return nil
-	}
-	for _, e := range interp.Engines() {
-		if e == name {
-			return nil
-		}
-	}
-	return fmt.Errorf("unknown engine %q (want one of %v)", name, interp.Engines())
 }
 
 // toolFor resolves a request's tool name to a configured analysis tool.

@@ -272,11 +272,6 @@ func ReportFromError(err error) Report {
 // Config bounds and instruments tool executions.
 type Config struct {
 	Model *ctypes.Model
-	// Engine selects the execution engine for every tool built from this
-	// Config ("" or "tree": the reference tree walker; "vm": pre-compiled
-	// closure code). Engines are verdict- and event-equivalent; the choice
-	// trades compilation (once per program, cached) for per-step dispatch.
-	Engine string
 	// Budget bounds each execution; zero fields take interp.DefaultBudget
 	// values.
 	Budget interp.Budget
@@ -348,7 +343,6 @@ func (t *profileTool) analyze(ctx context.Context, prog *sema.Program, fr *obs.F
 		return done(Report{Verdict: Flagged, UB: prog.StaticUB[0], Detail: prog.StaticUB[0].Error()})
 	}
 	res := interp.Run(prog, interp.Options{
-		Engine:   t.cfg.Engine,
 		Profile:  t.prof,
 		Budget:   t.cfg.Budget,
 		Context:  ctx,

@@ -27,10 +27,6 @@ import (
 	"repro/internal/interp"
 	"repro/internal/sema"
 	"repro/internal/ub"
-
-	// Register the "vm" execution engine so interp.Options.Engine "vm"
-	// resolves for every consumer of this package.
-	_ "repro/internal/vm"
 )
 
 // Options configure compilation and execution.
