@@ -5,11 +5,14 @@ test:
 
 # Tier-1.5: concurrency hygiene, observability, fault-containment, and
 # serving gates — vet everything, run the worker-pool, compile-cache,
-# shared-program, fault, observability, and server packages under the
-# race detector (the compile cache's single-flight must never hand a
-# contained panic to the callers parked on it), fail if the nil-observer
-# step path or a one- or two-operand scheduling point allocates, fail if
-# starting a span without a collector installed allocates, smoke-run the
+# shared-program, fault, observability, preprocessor and server packages
+# under the race detector (the compile cache's single-flight must never
+# hand a contained panic to the callers parked on it; the preprocessor's
+# shared header tokens must stay read-only with 8 goroutines expanding
+# them), fail if the nil-observer step path or a one- or two-operand
+# scheduling point allocates, fail if preprocessing a Juliet-shaped unit
+# exceeds its allocation ceiling, fail if starting a span without a
+# collector installed allocates, smoke-run the
 # observer-overhead and span-overhead benchmarks, exercise the end-to-end
 # containment gate (a panic injected at every site, at -j 1, 2 and 8,
 # must fail exactly one cell and never crash the suite), replay the fuzz
@@ -40,10 +43,11 @@ test:
 .PHONY: check
 check: test
 	go vet ./...
-	go test -race ./internal/runner/... ./internal/driver/... ./internal/tools/... ./internal/obs/... ./internal/fault/...
+	go test -race ./internal/runner/... ./internal/driver/... ./internal/tools/... ./internal/obs/... ./internal/fault/... ./internal/cpp/...
 	go test -race ./internal/server/...
 	go test -race ./internal/cluster/...
 	go test ./internal/interp/ -run 'ObserverPathAllocs' -count=1
+	go test ./internal/cpp/ -run 'TestPreprocessAllocs' -count=1
 	go test ./internal/obs/ -run 'SpanNoCollector' -count=1
 	go test ./internal/obs/ -run 'TestCoverageLedgerAllocs' -count=1
 	go test ./internal/interp/ -run '^$$' -bench BenchmarkObserverOverhead -benchtime 100x

@@ -7,10 +7,16 @@ package cheaders
 
 import "repro/internal/cpp"
 
-// Resolver serves the built-in headers.
-func Resolver() cpp.Resolver { return cpp.MapResolver(Headers) }
+// resolver is built once, at package init: every header is scanned then
+// and its tokens are shared read-only by every preprocessor.
+var resolver = cpp.NewMapResolver(Headers)
 
-// Headers maps header names to their contents.
+// Resolver serves the built-in headers. Every call returns the same
+// immutable resolver, safe for concurrent use.
+func Resolver() cpp.Resolver { return resolver }
+
+// Headers maps header names to their contents. Resolver scans it at
+// package init; later changes to it are not seen.
 var Headers = map[string]string{
 	"stddef.h": `#ifndef _STDDEF_H
 #define _STDDEF_H

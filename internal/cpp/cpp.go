@@ -25,16 +25,68 @@ type Resolver interface {
 	Resolve(name string, system bool, fromDir string) (content, path string, err error)
 }
 
-// MapResolver serves includes from an in-memory map of name → contents.
-// Both <name> and "name" forms resolve through the map.
-type MapResolver map[string]string
+// tokenResolver is a Resolver that can also serve an include as tokens it
+// scanned once and shares read-only: the included file's tokens, ending
+// in the ppIncludeEnd marker that carries its path.
+type tokenResolver interface {
+	resolveTokens(name string, system bool, fromDir string) ([]ppTok, error)
+}
+
+// resolveTokens resolves an include through r and returns its tokens,
+// ending in the include's end marker. A resolver that only has Resolve is
+// scanned on every include.
+func resolveTokens(r Resolver, name string, system bool, fromDir string) ([]ppTok, error) {
+	if tr, ok := r.(tokenResolver); ok {
+		return tr.resolveTokens(name, system, fromDir)
+	}
+	content, path, err := r.Resolve(name, system, fromDir)
+	if err != nil {
+		return nil, err
+	}
+	return scanInclude(content, path), nil
+}
+
+// scanInclude scans an included file, replacing its trailing EOF with the
+// marker that pops the include depth.
+func scanInclude(content, path string) []ppTok {
+	toks := scanFile(content, path)
+	toks[len(toks)-1] = ppTok{kind: ppIncludeEnd, file: path}
+	return toks[:len(toks):len(toks)]
+}
+
+// MapResolver serves includes from an in-memory set of files. Both <name>
+// and "name" forms resolve through it. Every file is scanned once, when
+// the resolver is built, and its tokens are shared read-only by every
+// preprocessor that includes it: a MapResolver is immutable and safe for
+// concurrent use.
+type MapResolver struct {
+	files map[string]string
+	toks  map[string][]ppTok
+}
+
+// NewMapResolver returns a resolver serving files, name → contents.
+func NewMapResolver(files map[string]string) *MapResolver {
+	m := &MapResolver{files: make(map[string]string, len(files)), toks: make(map[string][]ppTok, len(files))}
+	for name, content := range files {
+		m.files[name] = content
+		m.toks[name] = scanInclude(content, name)
+	}
+	return m
+}
 
 // Resolve implements Resolver.
-func (m MapResolver) Resolve(name string, system bool, fromDir string) (string, string, error) {
-	if c, ok := m[name]; ok {
+func (m *MapResolver) Resolve(name string, system bool, fromDir string) (string, string, error) {
+	if c, ok := m.files[name]; ok {
 		return c, name, nil
 	}
 	return "", "", fmt.Errorf("include file %q not found", name)
+}
+
+func (m *MapResolver) resolveTokens(name string, system bool, fromDir string) ([]ppTok, error) {
+	if t, ok := m.toks[name]; ok {
+		return t, nil
+	}
+	return nil, fmt.Errorf("include file %q not found", name)
 }
 
 // ChainResolver tries each resolver in turn.
@@ -52,10 +104,30 @@ func (c ChainResolver) Resolve(name string, system bool, fromDir string) (string
 			firstErr = err
 		}
 	}
-	if firstErr == nil {
-		firstErr = fmt.Errorf("include file %q not found", name)
+	return "", "", chainErr(firstErr, name)
+}
+
+// resolveTokens passes the token lookup on to each member in turn, so a
+// MapResolver in the chain still serves its shared tokens.
+func (c ChainResolver) resolveTokens(name string, system bool, fromDir string) ([]ppTok, error) {
+	var firstErr error
+	for _, r := range c {
+		toks, err := resolveTokens(r, name, system, fromDir)
+		if err == nil {
+			return toks, nil
+		}
+		if firstErr == nil {
+			firstErr = err
+		}
 	}
-	return "", "", firstErr
+	return nil, chainErr(firstErr, name)
+}
+
+func chainErr(firstErr error, name string) error {
+	if firstErr == nil {
+		return fmt.Errorf("include file %q not found", name)
+	}
+	return firstErr
 }
 
 // FSResolver serves "..." includes from the filesystem relative to the
@@ -78,7 +150,8 @@ func (FSResolver) Resolve(name string, system bool, fromDir string) (string, str
 	return string(b), p, nil
 }
 
-// Macro is a preprocessor macro definition.
+// Macro is a preprocessor macro definition. A Macro is never mutated after
+// it is created, so preprocessors share the predefined ones.
 type Macro struct {
 	Name     string
 	FuncLike bool
@@ -101,12 +174,20 @@ type Preprocessor struct {
 	resolver Resolver
 	macros   map[string]*Macro
 	conds    []condState
-	in       []ppTok // token worklist (front = next)
-	out      strings.Builder
-	outFile  string
-	outLine  int
-	depth    int // include nesting depth
-	counter  int // __COUNTER__
+	// in is the token worklist: a stack of read-only token runs whose
+	// concatenation, top run first, is the rest of the input. An include
+	// pushes the header's run; a macro rescan pushes its replacement
+	// list. Neither copies what is below. Runs below floor belong to an
+	// enclosing expandList and are out of reach.
+	in      [][]ppTok
+	floor   int
+	expbuf  []ppTok // Run's expansion buffer
+	out     strings.Builder
+	scratch [64]byte // emit's line-marker buffer
+	outFile string
+	outLine int
+	depth   int // include nesting depth
+	counter int // __COUNTER__
 }
 
 const maxIncludeDepth = 40
@@ -114,9 +195,11 @@ const maxIncludeDepth = 40
 // New returns a preprocessor resolving includes through r (FSResolver and
 // the built-in libc headers are sensible defaults; see Preprocess).
 func New(r Resolver) *Preprocessor {
-	pp := &Preprocessor{resolver: r, macros: make(map[string]*Macro)}
-	pp.predefine()
-	return pp
+	macros := make(map[string]*Macro, len(predefined))
+	for name, m := range predefined {
+		macros[name] = m
+	}
+	return &Preprocessor{resolver: r, macros: macros}
 }
 
 // Preprocess runs src (named file) through a fresh preprocessor with the
@@ -126,37 +209,23 @@ func Preprocess(src, file string, r Resolver) (string, error) {
 	return pp.Run(src, file)
 }
 
-func (pp *Preprocessor) predefine() {
-	def := func(name, body string) {
-		sc := newPPScanner(body, "<builtin>")
-		var toks []ppTok
-		for {
-			t := sc.next()
-			if t.kind == ppEOF || t.isPunct("\n") {
-				break
-			}
-			toks = append(toks, t)
-		}
-		pp.macros[name] = &Macro{Name: name, Body: toks}
-	}
-	def("__STDC__", "1")
-	def("__STDC_VERSION__", "201112L")
-	def("__STDC_HOSTED__", "1")
-	def("__KCC__", "1")
-	def("__x86_64__", "1")
+// predefined holds the object-like predefined macros, scanned once and
+// shared by every preprocessor. __FILE__, __LINE__ and __COUNTER__ are
+// handled in expandTok.
+var predefined = map[string]*Macro{
+	"__STDC__":         objectMacro("__STDC__", "1", "<builtin>"),
+	"__STDC_VERSION__": objectMacro("__STDC_VERSION__", "201112L", "<builtin>"),
+	"__STDC_HOSTED__":  objectMacro("__STDC_HOSTED__", "1", "<builtin>"),
+	"__KCC__":          objectMacro("__KCC__", "1", "<builtin>"),
+	"__x86_64__":       objectMacro("__x86_64__", "1", "<builtin>"),
 	// Deterministic date/time: reproducibility beats realism here.
-	def("__DATE__", `"Jan  1 2015"`)
-	def("__TIME__", `"00:00:00"`)
-	// __FILE__, __LINE__, __COUNTER__, __func__ handled specially.
+	"__DATE__": objectMacro("__DATE__", `"Jan  1 2015"`, "<builtin>"),
+	"__TIME__": objectMacro("__TIME__", `"00:00:00"`, "<builtin>"),
 }
 
-// Define adds a command-line style definition ("NAME" or "NAME=VALUE").
-func (pp *Preprocessor) Define(d string) {
-	name, val := d, "1"
-	if i := strings.IndexByte(d, '='); i >= 0 {
-		name, val = d[:i], d[i+1:]
-	}
-	sc := newPPScanner(val, "<cmdline>")
+// objectMacro scans the first line of body into an object-like macro.
+func objectMacro(name, body, file string) *Macro {
+	sc := newPPScanner(body, file)
 	var toks []ppTok
 	for {
 		t := sc.next()
@@ -165,7 +234,16 @@ func (pp *Preprocessor) Define(d string) {
 		}
 		toks = append(toks, t)
 	}
-	pp.macros[name] = &Macro{Name: name, Body: toks}
+	return &Macro{Name: name, Body: toks}
+}
+
+// Define adds a command-line style definition ("NAME" or "NAME=VALUE").
+func (pp *Preprocessor) Define(d string) {
+	name, val := d, "1"
+	if i := strings.IndexByte(d, '='); i >= 0 {
+		name, val = d[:i], d[i+1:]
+	}
+	pp.macros[name] = objectMacro(name, val, "<cmdline>")
 }
 
 func (pp *Preprocessor) errorf(t ppTok, format string, args ...any) error {
@@ -174,23 +252,24 @@ func (pp *Preprocessor) errorf(t ppTok, format string, args ...any) error {
 
 // Run preprocesses src and returns the expanded translation unit.
 func (pp *Preprocessor) Run(src, file string) (string, error) {
-	pp.in = pp.scanFile(src, file)
+	pp.in = append(pp.in[:0], scanFile(src, file))
+	pp.floor = 0
 	pp.outFile = ""
 	pp.outLine = 0
 	for {
-		if len(pp.in) == 0 {
+		t, ok := pp.peek()
+		if !ok {
 			break
 		}
-		t := pp.in[0]
 		if t.kind == ppEOF || t.kind == ppIncludeEnd {
 			if t.kind == ppIncludeEnd {
 				pp.depth--
 			}
-			pp.in = pp.in[1:]
+			pp.advance()
 			continue
 		}
 		if t.isPunct("\n") {
-			pp.in = pp.in[1:]
+			pp.advance()
 			continue
 		}
 		if t.isPunct("#") && t.bol {
@@ -203,11 +282,12 @@ func (pp *Preprocessor) Run(src, file string) (string, error) {
 			pp.skipLine()
 			continue
 		}
-		expanded, err := pp.expandOne()
+		var err error
+		pp.expbuf, err = pp.expandOne(pp.expbuf[:0])
 		if err != nil {
 			return "", err
 		}
-		for _, e := range expanded {
+		for _, e := range pp.expbuf {
 			pp.emit(e)
 		}
 	}
@@ -219,9 +299,10 @@ func (pp *Preprocessor) Run(src, file string) (string, error) {
 	return pp.out.String(), nil
 }
 
-func (pp *Preprocessor) scanFile(src, file string) []ppTok {
+// scanFile scans a whole file; the last token is its EOF.
+func scanFile(src, file string) []ppTok {
 	sc := newPPScanner(src, file)
-	var toks []ppTok
+	toks := make([]ppTok, 0, len(src)/2+1)
 	for {
 		t := sc.next()
 		toks = append(toks, t)
@@ -240,22 +321,61 @@ func (pp *Preprocessor) active() bool {
 	return true
 }
 
-// takeLine removes and returns the tokens up to (not including) the next
-// newline or EOF; the newline itself is consumed.
-func (pp *Preprocessor) takeLine() []ppTok {
-	var line []ppTok
-	for len(pp.in) > 0 {
-		t := pp.in[0]
-		if t.kind == ppIncludeEnd {
-			// Leave the marker for Run to account for.
-			break
+// peek returns the next token of the worklist without consuming it,
+// popping exhausted runs; ok is false when the worklist is empty.
+func (pp *Preprocessor) peek() (t ppTok, ok bool) {
+	for len(pp.in) > pp.floor {
+		if r := pp.in[len(pp.in)-1]; len(r) > 0 {
+			return r[0], true
 		}
-		pp.in = pp.in[1:]
-		if t.kind == ppEOF || t.isPunct("\n") {
-			break
-		}
-		line = append(line, t)
+		pp.in = pp.in[:len(pp.in)-1]
 	}
+	return ppTok{}, false
+}
+
+// advance consumes the token peek returned.
+func (pp *Preprocessor) advance() {
+	top := len(pp.in) - 1
+	pp.in[top] = pp.in[top][1:]
+}
+
+// next consumes and returns the next token; ok is false when the worklist
+// is empty.
+func (pp *Preprocessor) next() (ppTok, bool) {
+	t, ok := pp.peek()
+	if ok {
+		pp.advance()
+	}
+	return t, ok
+}
+
+// push puts a run in front of the worklist. The run is read, never written.
+func (pp *Preprocessor) push(run []ppTok) {
+	if len(run) > 0 {
+		pp.in = append(pp.in, run)
+	}
+}
+
+// takeLine removes and returns the tokens up to (not including) the next
+// newline or EOF; the newline itself is consumed. The line is a read-only
+// view of the top run: lines are only taken from a file's run (macro
+// replacement lists hold no line starts), and a file's run ends in its EOF
+// or include end marker, so a line never spans runs.
+func (pp *Preprocessor) takeLine() []ppTok {
+	if _, ok := pp.peek(); !ok {
+		return nil
+	}
+	top := len(pp.in) - 1
+	r := pp.in[top]
+	i := 0
+	for i < len(r) && r[i].kind != ppIncludeEnd && r[i].kind != ppEOF && !r[i].isPunct("\n") {
+		i++
+	}
+	line := r[:i:i]
+	if i < len(r) && r[i].kind != ppIncludeEnd {
+		i++ // consume the newline or EOF; leave the marker for Run
+	}
+	pp.in[top] = r[i:]
 	return line
 }
 
@@ -263,8 +383,7 @@ func (pp *Preprocessor) skipLine() { pp.takeLine() }
 
 // directive handles one preprocessing directive (cursor is at '#').
 func (pp *Preprocessor) directive() error {
-	hash := pp.in[0]
-	pp.in = pp.in[1:]
+	hash, _ := pp.next()
 	line := pp.takeLine()
 	if len(line) == 0 {
 		return nil // null directive
@@ -421,22 +540,13 @@ func (pp *Preprocessor) include(dir ppTok, args []ppTok) error {
 			return pp.errorf(dir, "malformed #include")
 		}
 	}
-	content, path, err := pp.resolver.Resolve(name, system, filepath.Dir(dir.file))
+	toks, err := resolveTokens(pp.resolver, name, system, filepath.Dir(dir.file))
 	if err != nil {
 		return pp.errorf(dir, "%v", err)
 	}
-	toks := pp.scanFile(content, path)
-	// Drop the trailing EOF of the included file, splice its tokens in, and
-	// follow them with an end marker that pops the include depth.
-	if n := len(toks); n > 0 && toks[n-1].kind == ppEOF {
-		toks = toks[:n-1]
-	}
+	// The header's run ends in the marker that pops the include depth.
 	pp.depth++
-	spliced := make([]ppTok, 0, len(toks)+1+len(pp.in))
-	spliced = append(spliced, toks...)
-	spliced = append(spliced, ppTok{kind: ppIncludeEnd, file: path, line: 0})
-	spliced = append(spliced, pp.in...)
-	pp.in = spliced
+	pp.push(toks)
 	return nil
 }
 
@@ -449,28 +559,68 @@ func (pp *Preprocessor) define(dir ppTok, args []ppTok) error {
 	// Function-like only if '(' immediately follows the name (no space).
 	if len(rest) > 0 && rest[0].isPunct("(") && !rest[0].ws {
 		m.FuncLike = true
-		i := 1
-		for i < len(rest) && !rest[i].isPunct(")") {
-			t := rest[i]
-			switch {
-			case t.kind == ppIdent:
-				m.Params = append(m.Params, t.text)
-			case t.isPunct("..."):
-				m.Variadic = true
-			case t.isPunct(","):
-			default:
-				return pp.errorf(dir, "malformed macro parameter list")
-			}
-			i++
+		n, err := pp.params(dir, m, rest)
+		if err != nil {
+			return err
 		}
-		if i >= len(rest) {
-			return pp.errorf(dir, "unterminated macro parameter list")
-		}
-		rest = rest[i+1:]
+		rest = rest[n:]
 	}
-	m.Body = append([]ppTok{}, rest...)
+	// C11 §6.10.3.3:1: ## cannot begin or end a replacement list.
+	if len(rest) > 0 && (rest[0].isPunct("##") || rest[len(rest)-1].isPunct("##")) {
+		return pp.errorf(dir, "'##' cannot appear at either end of a macro expansion")
+	}
+	// C11 §6.10.3.2:1: in a function-like body, # must precede a parameter.
+	if m.FuncLike {
+		for i, t := range rest {
+			if t.isPunct("#") && (i+1 == len(rest) || rest[i+1].kind != ppIdent || m.param(rest[i+1].text) < 0) {
+				return pp.errorf(dir, "'#' is not followed by a macro parameter")
+			}
+		}
+	}
+	// Runs are never written, so the body can be a view of the line.
+	m.Body = rest
 	pp.macros[m.Name] = m
 	return nil
+}
+
+// params parses the parameter list that opens rest into m and returns the
+// number of tokens it spans, closing parenthesis included. Parameters are
+// comma-separated, distinct (C11 §6.10.3:6), and a ... ends the list.
+func (pp *Preprocessor) params(dir ppTok, m *Macro, rest []ppTok) (int, error) {
+	wantName := true // next is a parameter (or ")" right after "(")
+	for i := 1; i < len(rest); i++ {
+		t := rest[i]
+		switch {
+		case t.isPunct(")"):
+			if wantName && i > 1 {
+				return 0, pp.errorf(dir, "expected parameter name in macro parameter list")
+			}
+			return i + 1, nil
+		case m.Variadic && (t.kind == ppIdent || t.isPunct("...") || t.isPunct(",")):
+			return 0, pp.errorf(dir, "expected ')' after \"...\" in macro parameter list")
+		case t.kind == ppIdent, t.isPunct("..."):
+			if !wantName {
+				return 0, pp.errorf(dir, "expected comma in macro parameter list")
+			}
+			if t.kind == ppIdent {
+				if m.param(t.text) >= 0 {
+					return 0, pp.errorf(dir, "duplicate macro parameter %q", t.text)
+				}
+				m.Params = append(m.Params, t.text)
+			} else {
+				m.Variadic = true
+			}
+			wantName = false
+		case t.isPunct(","):
+			if wantName {
+				return 0, pp.errorf(dir, "expected parameter name in macro parameter list")
+			}
+			wantName = true
+		default:
+			return 0, pp.errorf(dir, "malformed macro parameter list")
+		}
+	}
+	return 0, pp.errorf(dir, "unterminated macro parameter list")
 }
 
 // emit writes one token to the output, inserting newlines or line markers to
@@ -480,7 +630,13 @@ func (pp *Preprocessor) emit(t ppTok) {
 		if pp.outLine != 0 {
 			pp.out.WriteByte('\n')
 		}
-		fmt.Fprintf(&pp.out, "# %d %q\n", t.line, t.file)
+		// # <line> "<file>"
+		b := append(pp.scratch[:0], "# "...)
+		b = strconv.AppendInt(b, int64(t.line), 10)
+		b = append(b, ' ')
+		b = strconv.AppendQuote(b, t.file)
+		b = append(b, '\n')
+		pp.out.Write(b)
 		pp.outFile = t.file
 		pp.outLine = t.line
 	}

@@ -1,6 +1,8 @@
 package cpp
 
 import (
+	"errors"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -9,7 +11,7 @@ import (
 // to single spaces and line markers removed, for easy comparison.
 func pp(t *testing.T, src string, includes map[string]string) string {
 	t.Helper()
-	out, err := Preprocess(src, "test.c", MapResolver(includes))
+	out, err := Preprocess(src, "test.c", NewMapResolver(includes))
 	if err != nil {
 		t.Fatalf("Preprocess: %v", err)
 	}
@@ -178,7 +180,7 @@ func TestIfExpression(t *testing.T) {
 }
 
 func TestIfDivisionByZero(t *testing.T) {
-	_, err := Preprocess("#if 1/0\n#endif\n", "t.c", MapResolver(nil))
+	_, err := Preprocess("#if 1/0\n#endif\n", "t.c", NewMapResolver(nil))
 	if err == nil {
 		t.Error("expected error for division by zero in #if")
 	}
@@ -205,7 +207,7 @@ func TestIncludeGuard(t *testing.T) {
 }
 
 func TestIncludeNotFound(t *testing.T) {
-	_, err := Preprocess("#include \"missing.h\"\n", "t.c", MapResolver(nil))
+	_, err := Preprocess("#include \"missing.h\"\n", "t.c", NewMapResolver(nil))
 	if err == nil {
 		t.Error("expected error for missing include")
 	}
@@ -213,19 +215,19 @@ func TestIncludeNotFound(t *testing.T) {
 
 func TestSelfIncludeCapped(t *testing.T) {
 	includes := map[string]string{"self.h": "#include \"self.h\"\n"}
-	_, err := Preprocess("#include \"self.h\"\n", "t.c", MapResolver(includes))
+	_, err := Preprocess("#include \"self.h\"\n", "t.c", NewMapResolver(includes))
 	if err == nil {
 		t.Error("expected error for unbounded self-include")
 	}
 }
 
 func TestErrorDirective(t *testing.T) {
-	_, err := Preprocess("#error boom\n", "t.c", MapResolver(nil))
+	_, err := Preprocess("#error boom\n", "t.c", NewMapResolver(nil))
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Errorf("got %v", err)
 	}
 	// But not in a dead branch.
-	if _, err := Preprocess("#if 0\n#error boom\n#endif\n", "t.c", MapResolver(nil)); err != nil {
+	if _, err := Preprocess("#if 0\n#error boom\n#endif\n", "t.c", NewMapResolver(nil)); err != nil {
 		t.Errorf("dead #error should be skipped: %v", err)
 	}
 }
@@ -238,7 +240,7 @@ func TestUndef(t *testing.T) {
 }
 
 func TestLineMarkers(t *testing.T) {
-	out, err := Preprocess("int a;\n\n\nint b;\n", "orig.c", MapResolver(nil))
+	out, err := Preprocess("int a;\n\n\nint b;\n", "orig.c", NewMapResolver(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,21 +285,21 @@ func TestContinuationLines(t *testing.T) {
 }
 
 func TestUnterminatedIf(t *testing.T) {
-	_, err := Preprocess("#if 1\nint x;\n", "t.c", MapResolver(nil))
+	_, err := Preprocess("#if 1\nint x;\n", "t.c", NewMapResolver(nil))
 	if err == nil {
 		t.Error("expected error for unterminated #if")
 	}
 }
 
 func TestElseWithoutIf(t *testing.T) {
-	_, err := Preprocess("#else\n", "t.c", MapResolver(nil))
+	_, err := Preprocess("#else\n", "t.c", NewMapResolver(nil))
 	if err == nil {
 		t.Error("expected error for #else without #if")
 	}
 }
 
 func TestCmdlineDefine(t *testing.T) {
-	p := New(MapResolver(nil))
+	p := New(NewMapResolver(nil))
 	p.Define("DEBUG=2")
 	out, err := p.Run("int x = DEBUG;", "t.c")
 	if err != nil {
@@ -381,6 +383,74 @@ int e;
 func TestEmptyMacroArgs(t *testing.T) {
 	got := pp(t, "#define WRAP(x) [x]\nint a WRAP() b;", nil)
 	if got != "int a [ ] b ;" {
+		t.Errorf("got %q", got)
+	}
+}
+
+// TestDefineConstraints covers the #define constraint violations that are
+// diagnosed at the definition, and well-formed neighbours of each.
+func TestDefineConstraints(t *testing.T) {
+	tests := []struct {
+		name, src, wantErr string // wantErr "" means accepted
+	}{
+		// C11 §6.10.3.3:1: ## at either end of a replacement list.
+		{"paste at end, object-like", "#define A x ##\n", "'##' cannot appear at either end of a macro expansion"},
+		{"paste at start, object-like", "#define B ## x\n", "'##' cannot appear at either end of a macro expansion"},
+		{"paste at start, function-like", "#define C(a) ## a\n", "'##' cannot appear at either end of a macro expansion"},
+		{"paste at end, function-like", "#define D(a) a ##\n", "'##' cannot appear at either end of a macro expansion"},
+		{"paste inside", "#define P(a) a ## 1\nP(x)\n", ""},
+		// C11 §6.10.3.2:1: # must precede a parameter.
+		{"stringize non-parameter", "#define S(x) #y\n", "'#' is not followed by a macro parameter"},
+		{"stringize at end", "#define S(x) x #\n", "'#' is not followed by a macro parameter"},
+		{"stringize parameter", "#define S(x) #x\nS(a)\n", ""},
+		{"stringize __VA_ARGS__", "#define S(...) #__VA_ARGS__\nS(a, b)\n", ""},
+		{"# in object-like body", "#define H # x\nH\n", ""},
+		// C11 §6.10.3:6: parameters are distinct.
+		{"duplicate parameter", "#define f(x, x) x\n", `duplicate macro parameter "x"`},
+		// Parameters are separated by commas.
+		{"missing comma", "#define g(x y) x\n", "expected comma in macro parameter list"},
+		{"leading comma", "#define g(, x) x\n", "expected parameter name in macro parameter list"},
+		{"trailing comma", "#define g(x,) x\n", "expected parameter name in macro parameter list"},
+		{"parameter after ...", "#define g(..., x) x\n", `expected ')' after "..." in macro parameter list`},
+		{"named and variadic", "#define g(a, b, ...) a b __VA_ARGS__\ng(1, 2, 3, 4)\n", ""},
+		{"no parameters", "#define g() 1\ng()\n", ""},
+		// A dead region is not checked.
+		{"inactive region", "#if 0\n#define A x ##\n#define f(x, x) x\n#endif\n", ""},
+	}
+	for _, tt := range tests {
+		_, err := Preprocess(tt.src, "t.c", NewMapResolver(nil))
+		switch {
+		case tt.wantErr == "" && err != nil:
+			t.Errorf("%s: unexpected error %v", tt.name, err)
+		case tt.wantErr != "" && err == nil:
+			t.Errorf("%s: accepted, want error %q", tt.name, tt.wantErr)
+		case tt.wantErr != "" && err.Error() != "t.c:"+lineOf(tt.src, "#define")+": "+tt.wantErr:
+			t.Errorf("%s: got %v, want %q at the #define", tt.name, err, tt.wantErr)
+		}
+	}
+}
+
+// lineOf returns the 1-based line of the first occurrence of s in src.
+func lineOf(src, s string) string {
+	return strconv.Itoa(strings.Count(src[:strings.Index(src, s)], "\n") + 1)
+}
+
+// TestDirectiveInMacroArgs: a directive among a macro's arguments is
+// undefined (C11 §6.10.3:11) and is diagnosed at the '#', not pasted into
+// the program text.
+func TestDirectiveInMacroArgs(t *testing.T) {
+	src := "#define F(x) x\nF(\n#define G 1\n)\n"
+	_, err := Preprocess(src, "t.c", NewMapResolver(nil))
+	want := "t.c:3: preprocessing directive inside the arguments of macro F"
+	if err == nil || err.Error() != want {
+		t.Errorf("got %v, want %q", err, want)
+	}
+	var cerr *Error
+	if !errors.As(err, &cerr) {
+		t.Errorf("got %T, want *cpp.Error", err)
+	}
+	// A '#' that does not begin a line is an ordinary argument token.
+	if got := pp(t, "#define F(x) x\nint F(a # b);", nil); got != "int a # b ;" {
 		t.Errorf("got %q", got)
 	}
 }

@@ -6,199 +6,207 @@ import (
 	"strings"
 )
 
-// expandOne pops the next token from the worklist and fully macro-expands it,
-// returning the tokens to emit. Function-like macro invocations may consume
-// further tokens (including across newlines, per the standard).
-func (pp *Preprocessor) expandOne() ([]ppTok, error) {
-	t := pp.in[0]
-	pp.in = pp.in[1:]
-	return pp.expandTok(t)
+// expandOne pops the next token from the worklist, fully macro-expands it
+// and appends the tokens to emit to out. Function-like macro invocations
+// may consume further tokens (including across newlines, per the
+// standard).
+func (pp *Preprocessor) expandOne(out []ppTok) ([]ppTok, error) {
+	t, _ := pp.next()
+	return pp.expandTok(t, out)
 }
 
-// expandTok expands t against the worklist pp.in.
-func (pp *Preprocessor) expandTok(t ppTok) ([]ppTok, error) {
-	if t.kind != ppIdent {
-		return []ppTok{t}, nil
-	}
-	if t.hideset[t.text] {
-		return []ppTok{t}, nil
+// expandTok expands t against the worklist, appending to out.
+func (pp *Preprocessor) expandTok(t ppTok, out []ppTok) ([]ppTok, error) {
+	if t.kind != ppIdent || t.hideset[t.text] {
+		return append(out, t), nil
 	}
 	// Dynamic predefined macros.
 	switch t.text {
 	case "__LINE__":
-		return []ppTok{{kind: ppNumber, text: strconv.Itoa(t.line), file: t.file, line: t.line, ws: t.ws}}, nil
+		return append(out, ppTok{kind: ppNumber, text: strconv.Itoa(t.line), file: t.file, line: t.line, ws: t.ws}), nil
 	case "__FILE__":
-		return []ppTok{{kind: ppString, text: strconv.Quote(t.file), file: t.file, line: t.line, ws: t.ws}}, nil
+		return append(out, ppTok{kind: ppString, text: strconv.Quote(t.file), file: t.file, line: t.line, ws: t.ws}), nil
 	case "__COUNTER__":
 		pp.counter++
-		return []ppTok{{kind: ppNumber, text: strconv.Itoa(pp.counter - 1), file: t.file, line: t.line, ws: t.ws}}, nil
+		return append(out, ppTok{kind: ppNumber, text: strconv.Itoa(pp.counter - 1), file: t.file, line: t.line, ws: t.ws}), nil
 	}
 	m, ok := pp.macros[t.text]
 	if !ok {
-		return []ppTok{t}, nil
+		return append(out, t), nil
 	}
+	var body []ppTok
 	if !m.FuncLike {
-		body := substituteObject(m, t)
-		// Rescan: push body onto worklist front and expand from there.
-		pp.in = append(body, pp.in...)
-		if len(body) == 0 {
-			return nil, nil
+		body = substituteObject(m, t)
+	} else {
+		// Function-like: only expands if followed by '('.
+		if !pp.nextIsLParen() {
+			return append(out, t), nil
 		}
-		return pp.expandOne()
+		args, err := pp.gatherArgs(t, m)
+		if err != nil {
+			return out, err
+		}
+		if body, err = pp.substituteFunc(m, t, args); err != nil {
+			return out, err
+		}
 	}
-	// Function-like: only expands if followed by '('.
-	if !pp.nextIsLParen() {
-		return []ppTok{t}, nil
-	}
-	args, err := pp.gatherArgs(t, m)
-	if err != nil {
-		return nil, err
-	}
-	body, err := pp.substituteFunc(m, t, args)
-	if err != nil {
-		return nil, err
-	}
-	pp.in = append(body, pp.in...)
 	if len(body) == 0 {
-		return nil, nil
+		return out, nil
 	}
-	return pp.expandOne()
+	// Rescan: the replacement list goes in front of the rest of the input.
+	pp.push(body)
+	return pp.expandOne(out)
 }
 
-// nextIsLParen reports whether the next significant token is '('.
+// nextIsLParen reports whether the next significant token is '(', looking
+// across runs.
 func (pp *Preprocessor) nextIsLParen() bool {
-	for i := 0; i < len(pp.in); i++ {
-		t := pp.in[i]
-		if t.isPunct("\n") || t.kind == ppIncludeEnd {
-			continue
+	for i := len(pp.in) - 1; i >= pp.floor; i-- {
+		for _, t := range pp.in[i] {
+			if t.isPunct("\n") || t.kind == ppIncludeEnd {
+				continue
+			}
+			return t.isPunct("(")
 		}
-		return t.isPunct("(")
 	}
 	return false
 }
 
 // gatherArgs consumes "( a1 , a2 , ... )" from the worklist. Commas inside
-// nested parentheses do not separate arguments.
+// nested parentheses do not separate arguments. A directive among the
+// arguments is undefined (C11 §6.10.3:11) and diagnosed.
 func (pp *Preprocessor) gatherArgs(inv ppTok, m *Macro) ([][]ppTok, error) {
 	// Skip to and consume '('.
-	for len(pp.in) > 0 {
-		t := pp.in[0]
-		if t.kind == ppIncludeEnd {
-			pp.depth--
-			pp.in = pp.in[1:]
-			continue
-		}
-		pp.in = pp.in[1:]
-		if t.isPunct("(") {
+	for {
+		t, ok := pp.next()
+		if !ok || t.isPunct("(") {
 			break
 		}
+		if t.kind == ppIncludeEnd {
+			pp.depth--
+		}
 	}
-	var args [][]ppTok
-	var cur []ppTok
+	// The arguments' tokens go into one slice; ends[i] is where argument
+	// i stops.
+	var toks []ppTok
+	var ends []int
 	depth := 0
 	for {
-		if len(pp.in) == 0 {
-			return nil, pp.errorf(inv, "unterminated invocation of macro %s", m.Name)
-		}
-		t := pp.in[0]
-		pp.in = pp.in[1:]
+		t, ok := pp.next()
 		switch {
-		case t.kind == ppEOF:
+		case !ok, t.kind == ppEOF:
 			return nil, pp.errorf(inv, "unterminated invocation of macro %s", m.Name)
 		case t.kind == ppIncludeEnd:
 			pp.depth--
-			continue
 		case t.isPunct("\n"):
-			continue // newlines inside macro args are whitespace
+			// newlines inside macro args are whitespace
+		case t.isPunct("#") && t.bol:
+			return nil, pp.errorf(t, "preprocessing directive inside the arguments of macro %s", m.Name)
 		case t.isPunct("("):
 			depth++
-			cur = append(cur, t)
+			toks = append(toks, t)
 		case t.isPunct(")"):
 			if depth == 0 {
-				args = append(args, cur)
-				// "f()" with no params means zero args.
-				if len(args) == 1 && len(args[0]) == 0 && len(m.Params) == 0 && !m.Variadic {
-					args = nil
-				}
-				want := len(m.Params)
-				if m.Variadic {
-					if len(args) < want {
-						// Allow empty __VA_ARGS__.
-						for len(args) < want+1 {
-							args = append(args, nil)
-						}
-					}
-				} else if len(args) != want {
-					return nil, pp.errorf(inv, "macro %s expects %d arguments, got %d", m.Name, want, len(args))
-				}
-				return args, nil
+				return pp.splitArgs(inv, m, toks, append(ends, len(toks)))
 			}
 			depth--
-			cur = append(cur, t)
+			toks = append(toks, t)
 		case t.isPunct(",") && depth == 0:
-			if m.Variadic && len(args) >= len(m.Params) {
+			if m.Variadic && len(ends) >= len(m.Params) {
 				// Comma belongs to __VA_ARGS__.
-				cur = append(cur, t)
+				toks = append(toks, t)
 				continue
 			}
-			args = append(args, cur)
-			cur = nil
+			ends = append(ends, len(toks))
 		default:
-			cur = append(cur, t)
+			toks = append(toks, t)
 		}
 	}
 }
 
+// splitArgs cuts the gathered argument tokens at ends and checks the count
+// against m.
+func (pp *Preprocessor) splitArgs(inv ppTok, m *Macro, toks []ppTok, ends []int) ([][]ppTok, error) {
+	// "f()" with no params means zero args.
+	if len(ends) == 1 && len(toks) == 0 && len(m.Params) == 0 && !m.Variadic {
+		return nil, nil
+	}
+	want := len(m.Params)
+	if !m.Variadic && len(ends) != want {
+		return nil, pp.errorf(inv, "macro %s expects %d arguments, got %d", m.Name, want, len(ends))
+	}
+	n := len(ends)
+	if m.Variadic && n < want {
+		// Allow empty __VA_ARGS__.
+		n = want + 1
+	}
+	args := make([][]ppTok, n)
+	start := 0
+	for i, end := range ends {
+		args[i] = toks[start:end:end]
+		start = end
+	}
+	return args, nil
+}
+
 // expandList fully expands a detached token list (used for #if operands and
-// macro arguments) without touching the main worklist.
+// macro arguments) without touching the main worklist: the list becomes
+// the only run above a raised floor.
 func (pp *Preprocessor) expandList(toks []ppTok) ([]ppTok, error) {
-	saved := pp.in
-	pp.in = append(append([]ppTok{}, toks...), ppTok{kind: ppEOF})
-	var out []ppTok
-	for len(pp.in) > 0 && pp.in[0].kind != ppEOF {
-		e, err := pp.expandOne()
-		if err != nil {
-			pp.in = saved
+	floor := pp.floor
+	pp.floor = len(pp.in)
+	defer func() {
+		pp.in = pp.in[:pp.floor]
+		pp.floor = floor
+	}()
+	pp.push(toks)
+	out := make([]ppTok, 0, len(toks))
+	for {
+		if _, ok := pp.peek(); !ok {
+			return out, nil
+		}
+		var err error
+		if out, err = pp.expandOne(out); err != nil {
 			return nil, err
 		}
-		out = append(out, e...)
 	}
-	pp.in = saved
-	return out, nil
+}
+
+// param returns the index of the parameter called name (__VA_ARGS__ is
+// the one after the named ones), or -1.
+func (m *Macro) param(name string) int {
+	for i, p := range m.Params {
+		if p == name {
+			return i
+		}
+	}
+	if m.Variadic && name == "__VA_ARGS__" {
+		return len(m.Params)
+	}
+	return -1
 }
 
 // substituteObject produces the replacement list of an object-like macro.
 func substituteObject(m *Macro, inv ppTok) []ppTok {
+	h := hider{inv: inv, name: m.Name}
 	out := make([]ppTok, 0, len(m.Body))
 	for i := 0; i < len(m.Body); i++ {
 		t := m.Body[i]
 		// Handle ## in object-like bodies.
 		if i+2 < len(m.Body) && m.Body[i+1].isPunct("##") {
-			pasted := pasteTokens(t, m.Body[i+2], inv)
-			pasted = relocate(pasted, inv, m.Name)
-			out = append(out, pasted)
+			out = append(out, h.relocate(pasteTokens(t, m.Body[i+2], inv)))
 			i += 2
 			continue
 		}
-		out = append(out, relocate(t, inv, m.Name))
+		out = append(out, h.relocate(t))
 	}
 	return out
 }
 
 // substituteFunc produces the replacement list of a function-like macro
-// invocation, applying # (stringize) and ## (paste).
+// invocation, applying # (stringize) and ## (paste). define has checked
+// that every # precedes a parameter and that ## is not at either end.
 func (pp *Preprocessor) substituteFunc(m *Macro, inv ppTok, args [][]ppTok) ([]ppTok, error) {
-	paramIdx := func(name string) int {
-		for i, p := range m.Params {
-			if p == name {
-				return i
-			}
-		}
-		if m.Variadic && name == "__VA_ARGS__" {
-			return len(m.Params)
-		}
-		return -1
-	}
 	argFor := func(i int) []ppTok {
 		if i < len(args) {
 			return args[i]
@@ -222,79 +230,99 @@ func (pp *Preprocessor) substituteFunc(m *Macro, inv ppTok, args [][]ppTok) ([]p
 		return nil
 	}
 
-	var out []ppTok
+	h := hider{inv: inv, name: m.Name}
+	out := make([]ppTok, 0, len(m.Body))
 	body := m.Body
 	for i := 0; i < len(body); i++ {
 		t := body[i]
 		// Stringize: # param
 		if t.isPunct("#") && i+1 < len(body) && body[i+1].kind == ppIdent {
-			if pi := paramIdx(body[i+1].text); pi >= 0 {
-				out = append(out, relocate(stringize(argFor(pi)), inv, m.Name))
+			if pi := m.param(body[i+1].text); pi >= 0 {
+				out = append(out, h.relocate(stringize(argFor(pi))))
 				i++
 				continue
 			}
 		}
 		// Paste: X ## Y
-		if i+1 < len(body) && body[i+1].isPunct("##") {
-			if i+2 >= len(body) {
-				return nil, pp.errorf(inv, "## at end of macro body")
-			}
-			left := t
-			lhs := []ppTok{left}
-			if left.kind == ppIdent {
-				if pi := paramIdx(left.text); pi >= 0 {
-					lhs = argFor(pi)
-				}
+		if i+2 < len(body) && body[i+1].isPunct("##") {
+			var lhs, rhs []ppTok
+			if pi := m.param(t.text); t.kind == ppIdent && pi >= 0 {
+				lhs = argFor(pi)
+			} else {
+				lhs = body[i : i+1]
 			}
 			right := body[i+2]
-			rhs := []ppTok{right}
-			if right.kind == ppIdent {
-				if pi := paramIdx(right.text); pi >= 0 {
-					rhs = argFor(pi)
-				}
+			if pi := m.param(right.text); right.kind == ppIdent && pi >= 0 {
+				rhs = argFor(pi)
+			} else {
+				rhs = body[i+2 : i+3]
 			}
-			var pasted []ppTok
 			switch {
-			case len(lhs) == 0 && len(rhs) == 0:
 			case len(lhs) == 0:
-				pasted = rhs
+				out = h.relocateAll(out, rhs)
 			case len(rhs) == 0:
-				pasted = lhs
+				out = h.relocateAll(out, lhs)
 			default:
-				mid := pasteTokens(lhs[len(lhs)-1], rhs[0], inv)
-				pasted = append(append(append([]ppTok{}, lhs[:len(lhs)-1]...), mid), rhs[1:]...)
-			}
-			for _, p := range pasted {
-				out = append(out, relocate(p, inv, m.Name))
+				out = h.relocateAll(out, lhs[:len(lhs)-1])
+				out = append(out, h.relocate(pasteTokens(lhs[len(lhs)-1], rhs[0], inv)))
+				out = h.relocateAll(out, rhs[1:])
 			}
 			i += 2
 			continue
 		}
 		// Plain parameter: substitute the pre-expanded argument.
 		if t.kind == ppIdent {
-			if pi := paramIdx(t.text); pi >= 0 {
-				for _, a := range expandedFor(pi) {
-					out = append(out, relocate(a, inv, m.Name))
-				}
+			if pi := m.param(t.text); pi >= 0 {
+				out = h.relocateAll(out, expandedFor(pi))
 				continue
 			}
 		}
-		out = append(out, relocate(t, inv, m.Name))
+		out = append(out, h.relocate(t))
 	}
 	return out, nil
 }
 
-// relocate stamps a substituted token with the invocation site's position and
-// extends its hideset with the macro being expanded.
-func relocate(t ppTok, inv ppTok, macroName string) ppTok {
-	t.file = inv.file
-	t.line = inv.line
+// hider stamps the tokens of one macro substitution with the invocation
+// site's position and extends their hidesets with the macro being
+// expanded and the invocation's own hideset. Hidesets are never mutated,
+// so every token that brings no hideset of its own shares one.
+type hider struct {
+	inv  ppTok
+	name string
+	base map[string]bool // inv.hideset ∪ {name}, built on first use
+}
+
+func (h *hider) relocate(t ppTok) ppTok {
+	t.file = h.inv.file
+	t.line = h.inv.line
 	t.bol = false
-	t = t.withHide(macroName)
-	for n := range inv.hideset {
-		t = t.withHide(n)
+	if h.base == nil {
+		h.base = make(map[string]bool, len(h.inv.hideset)+1)
+		for n := range h.inv.hideset {
+			h.base[n] = true
+		}
+		h.base[h.name] = true
 	}
+	if len(t.hideset) == 0 {
+		t.hideset = h.base
+		return t
+	}
+	hs := make(map[string]bool, len(t.hideset)+len(h.base))
+	for n := range t.hideset {
+		hs[n] = true
+	}
+	for n := range h.base {
+		hs[n] = true
+	}
+	t.hideset = hs
 	return t
+}
+
+func (h *hider) relocateAll(out, toks []ppTok) []ppTok {
+	for _, t := range toks {
+		out = append(out, h.relocate(t))
+	}
+	return out
 }
 
 // stringize implements the # operator.

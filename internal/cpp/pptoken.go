@@ -14,16 +14,16 @@ import (
 // ppTok is a preprocessing token. The preprocessor works on a coarser token
 // class than the real lexer: any punctuator is kept as its text.
 type ppTok struct {
-	kind    ppKind
 	text    string
 	file    string
+	hideset map[string]bool // macros that must not expand this token; never mutated, so tokens share it
 	line    int
-	bol     bool            // first token on its (logical) line
-	ws      bool            // preceded by whitespace
-	hideset map[string]bool // macros that must not expand this token
+	kind    ppKind
+	bol     bool // first token on its (logical) line
+	ws      bool // preceded by whitespace
 }
 
-type ppKind int
+type ppKind uint8
 
 const (
 	ppEOF ppKind = iota
@@ -41,18 +41,6 @@ func (t ppTok) isIdent(s string) bool { return t.kind == ppIdent && t.text == s 
 func (t ppTok) isPunct(s string) bool { return t.kind == ppPunct && t.text == s }
 
 func (t ppTok) pos() string { return fmt.Sprintf("%s:%d", t.file, t.line) }
-
-func (t ppTok) withHide(names ...string) ppTok {
-	hs := make(map[string]bool, len(t.hideset)+len(names))
-	for k := range t.hideset {
-		hs[k] = true
-	}
-	for _, n := range names {
-		hs[n] = true
-	}
-	t.hideset = hs
-	return t
-}
 
 // spliceLines removes backslash-newline sequences, keeping a record of how
 // many lines were spliced so the scanner can keep line numbers accurate.
@@ -72,8 +60,8 @@ type ppScanner struct {
 	ws   bool
 }
 
-func newPPScanner(src, file string) *ppScanner {
-	return &ppScanner{src: normalizeNewlines(src), file: file, line: 1, bol: true}
+func newPPScanner(src, file string) ppScanner {
+	return ppScanner{src: normalizeNewlines(src), file: file, line: 1, bol: true}
 }
 
 func (s *ppScanner) peek() byte {
@@ -242,13 +230,20 @@ var ppPuncts = []string{
 	"/", "%", "<", ">", "^", "|", "?", ":", ";", "=", ",", "#",
 }
 
+// punctsByByte lists, for each first byte, the punctuators starting with
+// it, longest first (the order of ppPuncts).
+var punctsByByte = func() (tab [256][]string) {
+	for _, p := range ppPuncts {
+		tab[p[0]] = append(tab[p[0]], p)
+	}
+	return tab
+}()
+
 func (s *ppScanner) scanPunct() string {
 	rest := s.src[s.off:]
-	for _, p := range ppPuncts {
+	for _, p := range punctsByByte[rest[0]] {
 		if strings.HasPrefix(rest, p) {
-			for range p {
-				s.bump()
-			}
+			s.off += len(p)
 			return p
 		}
 	}
