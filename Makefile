@@ -11,6 +11,7 @@ test:
 # shared header tokens must stay read-only with 8 goroutines expanding
 # them), fail if the nil-observer step path or a one- or two-operand
 # scheduling point allocates, fail if preprocessing a Juliet-shaped unit
+# or compiling a unit of nothing but the stdio/stdlib/string headers
 # exceeds its allocation ceiling, fail if starting a span without a
 # collector installed allocates, smoke-run the
 # observer-overhead and span-overhead benchmarks, exercise the end-to-end
@@ -48,6 +49,7 @@ check: test
 	go test -race ./internal/cluster/...
 	go test ./internal/interp/ -run 'ObserverPathAllocs' -count=1
 	go test ./internal/cpp/ -run 'TestPreprocessAllocs' -count=1
+	go test ./internal/driver/ -run 'TestCompileHeadersAllocs' -count=1
 	go test ./internal/obs/ -run 'SpanNoCollector' -count=1
 	go test ./internal/obs/ -run 'TestCoverageLedgerAllocs' -count=1
 	go test ./internal/interp/ -run '^$$' -bench BenchmarkObserverOverhead -benchtime 100x

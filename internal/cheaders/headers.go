@@ -1,11 +1,17 @@
 // Package cheaders provides the C standard library headers served to
-// #include by the preprocessor. The declarations match the native builtins
-// implemented in internal/interp; the constants match the LP64 model (the
-// model of the paper's experiments). Programs compiled under other models
-// should avoid limits.h or define their own bounds.
+// #include by the preprocessor. The function prototypes are the rows of
+// interp.Libc, the library the interpreter implements natively; the
+// constants match the LP64 model (the model of the paper's experiments).
+// Programs compiled under other models should avoid limits.h or define
+// their own bounds.
 package cheaders
 
-import "repro/internal/cpp"
+import (
+	"strings"
+
+	"repro/internal/cpp"
+	"repro/internal/interp"
+)
 
 // resolver is built once, at package init: every header is scanned then
 // and its tokens are shared read-only by every preprocessor.
@@ -43,14 +49,7 @@ typedef int FILE;
 #define stdout ((FILE*)2)
 #define stderr ((FILE*)3)
 #define EOF (-1)
-int printf(const char *format, ...);
-int fprintf(FILE *stream, const char *format, ...);
-int sprintf(char *s, const char *format, ...);
-int snprintf(char *s, size_t n, const char *format, ...);
-int puts(const char *s);
-int putchar(int c);
-int getchar(void);
-#endif
+` + prototypes("stdio.h") + `#endif
 `,
 	"stdlib.h": `#ifndef _STDLIB_H
 #define _STDLIB_H
@@ -58,55 +57,20 @@ int getchar(void);
 #define EXIT_SUCCESS 0
 #define EXIT_FAILURE 1
 #define RAND_MAX 2147483647
-void *malloc(size_t size);
-void *calloc(size_t nmemb, size_t size);
-void *realloc(void *ptr, size_t size);
-void free(void *ptr);
-void exit(int status);
-void abort(void);
-int atoi(const char *nptr);
-long atol(const char *nptr);
-int abs(int j);
-long labs(long j);
-int rand(void);
-void srand(unsigned int seed);
-#endif
+` + prototypes("stdlib.h") + `#endif
 `,
 	"string.h": `#ifndef _STRING_H
 #define _STRING_H
 #include "stddef.h"
-void *memcpy(void *s1, const void *s2, size_t n);
-void *memmove(void *s1, const void *s2, size_t n);
-void *memset(void *s, int c, size_t n);
-int memcmp(const void *s1, const void *s2, size_t n);
-void *memchr(const void *s, int c, size_t n);
-size_t strlen(const char *s);
-char *strcpy(char *s1, const char *s2);
-char *strncpy(char *s1, const char *s2, size_t n);
-char *strcat(char *s1, const char *s2);
-char *strncat(char *s1, const char *s2, size_t n);
-int strcmp(const char *s1, const char *s2);
-int strncmp(const char *s1, const char *s2, size_t n);
-char *strchr(const char *s, int c);
-char *strrchr(const char *s, int c);
-char *strstr(const char *s1, const char *s2);
-#endif
+` + prototypes("string.h") + `#endif
 `,
 	"ctype.h": `#ifndef _CTYPE_H
 #define _CTYPE_H
-int isdigit(int c);
-int isalpha(int c);
-int isspace(int c);
-int isupper(int c);
-int islower(int c);
-int toupper(int c);
-int tolower(int c);
-#endif
+` + prototypes("ctype.h") + `#endif
 `,
 	"assert.h": `#ifndef _ASSERT_H
 #define _ASSERT_H
-void __assert_fail(const char *expr, const char *file, int line);
-#ifdef NDEBUG
+` + prototypes("assert.h") + `#ifdef NDEBUG
 #define assert(e) ((void)0)
 #else
 #define assert(e) ((e) ? (void)0 : __assert_fail(#e, __FILE__, __LINE__))
@@ -171,4 +135,17 @@ typedef unsigned long uintptr_t;
 #define DBL_EPSILON 2.2204460492503131e-16
 #endif
 `,
+}
+
+// prototypes renders the prototype lines of the Libc rows declared in
+// header, in table order.
+func prototypes(header string) string {
+	var b strings.Builder
+	for _, f := range interp.Libc {
+		if f.Header == header {
+			b.WriteString(f.Proto)
+			b.WriteByte('\n')
+		}
+	}
+	return b.String()
 }

@@ -448,7 +448,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, path, key stri
 			return
 		}
 
-		respBody, rerr := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
+		respBody, rerr := io.ReadAll(io.LimitReader(resp.Body, maxRelayBytes))
 		resp.Body.Close()
 		cancel()
 		if rerr != nil {
@@ -504,10 +504,18 @@ func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, body []byte)
 	w.Write(body)
 }
 
+// maxRelayBytes bounds what the router buffers of one shard response: a
+// unary body, or one line of an NDJSON stream (a variable for tests).
+var maxRelayBytes int64 = 256 << 20
+
+// errFrameTooLong reports a streamed line longer than maxRelayBytes.
+var errFrameTooLong = errors.New("stream line exceeds the relay bound")
+
 // relayStream forwards an NDJSON stream line by line: only complete
-// lines reach the client, so when the shard dies mid-stream the client
-// sees every whole frame it produced plus one typed trailer error —
-// never a torn JSON line. Returns non-nil when the upstream was lost.
+// lines reach the client, so when the shard dies mid-stream, or sends a
+// line longer than maxRelayBytes, the client sees every whole frame it
+// produced plus one typed trailer error — never a torn JSON line. Returns
+// non-nil when the upstream was lost.
 func (rt *Router) relayStream(w http.ResponseWriter, resp *http.Response, sh *shard, traceID string) error {
 	copyHeaders(w.Header(), resp.Header)
 	w.WriteHeader(resp.StatusCode)
@@ -519,37 +527,51 @@ func (rt *Router) relayStream(w http.ResponseWriter, resp *http.Response, sh *sh
 	}
 	br := bufio.NewReader(resp.Body)
 	for {
-		line, err := br.ReadBytes('\n')
-		complete := len(line) > 0 && line[len(line)-1] == '\n'
-		if complete {
+		line, err := readLine(br, maxRelayBytes)
+		switch err {
+		case nil:
 			w.Write(line)
 			flush()
+			continue
+		case io.EOF:
+			return nil
 		}
-		if err == io.EOF {
-			if len(line) > 0 && !complete {
-				// The stream ended inside a frame: the shard died mid-line.
-				err = io.ErrUnexpectedEOF
-			} else {
-				return nil
-			}
+		frame := map[string]any{
+			"done": false,
+			"error": map[string]string{
+				"code":    "upstream-lost",
+				"message": fmt.Sprintf("shard %s lost mid-stream: %v", sh.addr, err),
+			},
 		}
-		if err != nil {
-			frame := map[string]any{
-				"done": false,
-				"error": map[string]string{
-					"code":    "upstream-lost",
-					"message": fmt.Sprintf("shard %s lost mid-stream: %v", sh.addr, err),
-				},
-			}
-			if traceID != "" {
-				// The trailer names the trace, so a consumer holding only the
-				// stream can still pull the assembled failure story.
-				frame["trace_id"] = traceID
-			}
-			trailer, _ := json.Marshal(frame)
-			w.Write(append(trailer, '\n'))
-			flush()
-			return err
+		if traceID != "" {
+			// The trailer names the trace, so a consumer holding only the
+			// stream can still pull the assembled failure story.
+			frame["trace_id"] = traceID
+		}
+		trailer, _ := json.Marshal(frame)
+		w.Write(append(trailer, '\n'))
+		flush()
+		return err
+	}
+}
+
+// readLine reads one whole '\n'-terminated line. It returns io.EOF at a
+// clean end of stream, io.ErrUnexpectedEOF when the stream ends inside a
+// line (the shard died mid-frame), and errFrameTooLong, having buffered
+// at most max bytes, when the line is longer than max.
+func readLine(br *bufio.Reader, max int64) ([]byte, error) {
+	var line []byte
+	for {
+		frag, err := br.ReadSlice('\n')
+		if int64(len(line)+len(frag)) > max {
+			return nil, errFrameTooLong
+		}
+		line = append(line, frag...)
+		if err == io.EOF && len(line) > 0 {
+			return nil, io.ErrUnexpectedEOF
+		}
+		if err != bufio.ErrBufferFull {
+			return line, err
 		}
 	}
 }

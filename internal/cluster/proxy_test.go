@@ -26,7 +26,7 @@ type fakeShard struct {
 	ts       *httptest.Server
 	instance string
 	served   atomic.Int64
-	// mode: "ok", "429", "draining", "torn-stream", "stall-stream"
+	// mode: "ok", "429", "draining", "torn-stream", "stall-stream", "long-line"
 	mode atomic.Value
 }
 
@@ -75,6 +75,15 @@ func newFakeShard(t *testing.T, instance string) *fakeShard {
 			io.WriteString(w, `{"case":"torn","tool":"k`)
 			fl.Flush()
 			panic(http.ErrAbortHandler)
+		}
+		if f.mode.Load() == "long-line" {
+			// A frame far past the relay bound: 1 MiB before its newline.
+			// The writes fail once the router stops reading.
+			var err error
+			for i := 0; i < 32 && err == nil; i++ {
+				_, err = w.Write(bytes.Repeat([]byte("x"), 32<<10))
+				fl.Flush()
+			}
 		}
 		io.WriteString(w, `{"done":true,"frontend":{},"failures":0}`+"\n")
 	})
@@ -270,14 +279,24 @@ func TestDrainingShardFailsOver(t *testing.T) {
 	}
 }
 
-// TestStreamLossTypedTrailer is the mid-stream shard-death contract: the
+// TestStreamLossTypedTrailer is the mid-stream shard-loss contract: the
 // client receives every complete NDJSON frame the shard produced, then
 // one typed trailer error — every line parses as JSON, nothing is torn,
 // and the router does not replay a stream whose bytes already reached
-// the client.
+// the client. The shard is lost when it dies mid-frame, or when a frame
+// outgrows the relay bound, which the router then stops buffering.
 func TestStreamLossTypedTrailer(t *testing.T) {
+	old := maxRelayBytes
+	t.Cleanup(func() { maxRelayBytes = old })
+	maxRelayBytes = 64 << 10
+	for _, mode := range []string{"torn-stream", "long-line"} {
+		t.Run(mode, func(t *testing.T) { testStreamLoss(t, mode) })
+	}
+}
+
+func testStreamLoss(t *testing.T, mode string) {
 	a := newFakeShard(t, "inst-a")
-	a.mode.Store("torn-stream")
+	a.mode.Store(mode)
 	rt, ts := newTestRouter(t, Config{Shards: []string{a.addr()}})
 
 	body, _ := json.Marshal(server.BatchRequest{Cases: []server.BatchCase{{Name: "x", Source: "int main(void){return 0;}"}}})

@@ -17,54 +17,89 @@ import (
 // §7 precondition checked).
 type builtin func(in *Interp, args []mem.Value, e *cast.Call) (mem.Value, error)
 
-var builtins map[string]builtin
+// Effect is what a library function does beyond the argument reads the
+// observer sees, as the order search's partial-order reduction needs it.
+// EffectUniversal — unevented memory access (memcpy, printf's format
+// walk, …), output, allocation or a lifetime's end — conflicts with
+// everything; it is the zero value, so an unknown name is conservative.
+type Effect uint8
+
+const (
+	EffectUniversal Effect = iota
+	EffectPure             // fully captured by its evented argument reads
+	EffectRNG              // advances the rand() state and nothing else
+)
+
+// LibFunc is one function of the C library: the header that declares it,
+// its prototype there, its native implementation and its effect.
+type LibFunc struct {
+	Name, Header, Proto string
+	impl                builtin
+	Effect              Effect
+}
+
+// Libc is the C library, one row per function. Everything else that names
+// a library function is derived from it: the call dispatch (builtins), the
+// prototype lines of the served headers (internal/cheaders), the order
+// search's effect classes and the suite generator's automatic includes.
+// Within a header, rows are in prototype order.
+var Libc = []LibFunc{
+	{"printf", "stdio.h", "int printf(const char *format, ...);", biPrintf, EffectUniversal},
+	{"fprintf", "stdio.h", "int fprintf(FILE *stream, const char *format, ...);", biFprintf, EffectUniversal},
+	{"sprintf", "stdio.h", "int sprintf(char *s, const char *format, ...);", biSprintf, EffectUniversal},
+	{"snprintf", "stdio.h", "int snprintf(char *s, size_t n, const char *format, ...);", biSnprintf, EffectUniversal},
+	{"puts", "stdio.h", "int puts(const char *s);", biPuts, EffectUniversal},
+	{"putchar", "stdio.h", "int putchar(int c);", biPutchar, EffectUniversal},
+	{"getchar", "stdio.h", "int getchar(void);", biGetchar, EffectUniversal},
+	{"malloc", "stdlib.h", "void *malloc(size_t size);", biMalloc, EffectUniversal},
+	{"calloc", "stdlib.h", "void *calloc(size_t nmemb, size_t size);", biCalloc, EffectUniversal},
+	{"realloc", "stdlib.h", "void *realloc(void *ptr, size_t size);", biRealloc, EffectUniversal},
+	{"free", "stdlib.h", "void free(void *ptr);", biFree, EffectUniversal},
+	{"exit", "stdlib.h", "void exit(int status);", biExit, EffectUniversal},
+	{"abort", "stdlib.h", "void abort(void);", biAbort, EffectUniversal},
+	{"atoi", "stdlib.h", "int atoi(const char *nptr);", biAtoi, EffectUniversal},
+	{"atol", "stdlib.h", "long atol(const char *nptr);", biAtoi, EffectUniversal},
+	{"abs", "stdlib.h", "int abs(int j);", biAbs, EffectPure},
+	{"labs", "stdlib.h", "long labs(long j);", biAbs, EffectPure},
+	{"rand", "stdlib.h", "int rand(void);", biRand, EffectRNG},
+	{"srand", "stdlib.h", "void srand(unsigned int seed);", biSrand, EffectRNG},
+	{"memcpy", "string.h", "void *memcpy(void *s1, const void *s2, size_t n);", biMemcpy, EffectUniversal},
+	{"memmove", "string.h", "void *memmove(void *s1, const void *s2, size_t n);", biMemmove, EffectUniversal},
+	{"memset", "string.h", "void *memset(void *s, int c, size_t n);", biMemset, EffectUniversal},
+	{"memcmp", "string.h", "int memcmp(const void *s1, const void *s2, size_t n);", biMemcmp, EffectUniversal},
+	{"memchr", "string.h", "void *memchr(const void *s, int c, size_t n);", biMemchr, EffectUniversal},
+	{"strlen", "string.h", "size_t strlen(const char *s);", biStrlen, EffectUniversal},
+	{"strcpy", "string.h", "char *strcpy(char *s1, const char *s2);", biStrcpy, EffectUniversal},
+	{"strncpy", "string.h", "char *strncpy(char *s1, const char *s2, size_t n);", biStrncpy, EffectUniversal},
+	{"strcat", "string.h", "char *strcat(char *s1, const char *s2);", biStrcat, EffectUniversal},
+	{"strncat", "string.h", "char *strncat(char *s1, const char *s2, size_t n);", biStrncat, EffectUniversal},
+	{"strcmp", "string.h", "int strcmp(const char *s1, const char *s2);", biStrcmp, EffectUniversal},
+	{"strncmp", "string.h", "int strncmp(const char *s1, const char *s2, size_t n);", biStrncmp, EffectUniversal},
+	{"strchr", "string.h", "char *strchr(const char *s, int c);", biStrchr, EffectUniversal},
+	{"strrchr", "string.h", "char *strrchr(const char *s, int c);", biStrrchr, EffectUniversal},
+	{"strstr", "string.h", "char *strstr(const char *s1, const char *s2);", biStrstr, EffectUniversal},
+	{"isdigit", "ctype.h", "int isdigit(int c);", biCtype(func(c int) bool { return c >= '0' && c <= '9' }), EffectPure},
+	{"isalpha", "ctype.h", "int isalpha(int c);", biCtype(func(c int) bool { return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' }), EffectPure},
+	{"isspace", "ctype.h", "int isspace(int c);", biCtype(func(c int) bool { return c == ' ' || c >= 9 && c <= 13 }), EffectPure},
+	{"isupper", "ctype.h", "int isupper(int c);", biCtype(func(c int) bool { return c >= 'A' && c <= 'Z' }), EffectPure},
+	{"islower", "ctype.h", "int islower(int c);", biCtype(func(c int) bool { return c >= 'a' && c <= 'z' }), EffectPure},
+	{"toupper", "ctype.h", "int toupper(int c);", biToupper, EffectPure},
+	{"tolower", "ctype.h", "int tolower(int c);", biTolower, EffectPure},
+	{"__assert_fail", "assert.h", "void __assert_fail(const char *expr, const char *file, int line);", biAssertFail, EffectUniversal},
+}
+
+// builtins indexes Libc by name for call dispatch.
+var builtins = make(map[string]LibFunc, len(Libc))
 
 func init() {
-	builtins = map[string]builtin{
-		"printf":        biPrintf,
-		"fprintf":       biFprintf,
-		"sprintf":       biSprintf,
-		"snprintf":      biSnprintf,
-		"puts":          biPuts,
-		"putchar":       biPutchar,
-		"getchar":       biGetchar,
-		"malloc":        biMalloc,
-		"calloc":        biCalloc,
-		"realloc":       biRealloc,
-		"free":          biFree,
-		"exit":          biExit,
-		"abort":         biAbort,
-		"atoi":          biAtoi,
-		"atol":          biAtoi,
-		"abs":           biAbs,
-		"labs":          biAbs,
-		"rand":          biRand,
-		"srand":         biSrand,
-		"memcpy":        biMemcpy,
-		"memmove":       biMemmove,
-		"memset":        biMemset,
-		"memcmp":        biMemcmp,
-		"memchr":        biMemchr,
-		"strlen":        biStrlen,
-		"strcpy":        biStrcpy,
-		"strncpy":       biStrncpy,
-		"strcat":        biStrcat,
-		"strncat":       biStrncat,
-		"strcmp":        biStrcmp,
-		"strncmp":       biStrncmp,
-		"strchr":        biStrchr,
-		"strrchr":       biStrrchr,
-		"strstr":        biStrstr,
-		"isdigit":       biCtype(func(c int) bool { return c >= '0' && c <= '9' }),
-		"isalpha":       biCtype(func(c int) bool { return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' }),
-		"isspace":       biCtype(func(c int) bool { return c == ' ' || c >= 9 && c <= 13 }),
-		"isupper":       biCtype(func(c int) bool { return c >= 'A' && c <= 'Z' }),
-		"islower":       biCtype(func(c int) bool { return c >= 'a' && c <= 'z' }),
-		"toupper":       biToupper,
-		"tolower":       biTolower,
-		"__assert_fail": biAssertFail,
+	for _, f := range Libc {
+		builtins[f.Name] = f
 	}
 }
+
+// EffectOf returns the effect of the library function name: the zero
+// value, EffectUniversal, when name is not in Libc.
+func EffectOf(name string) Effect { return builtins[name].Effect }
 
 // ---------- argument helpers ----------
 

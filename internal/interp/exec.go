@@ -753,7 +753,7 @@ func (in *Interp) evalCall(e *cast.Call) (mem.Value, error) {
 	if bi, isBuiltin := builtins[name]; isBuiltin {
 		if _, userDefined := in.prog.Funcs[name]; !userDefined {
 			in.obsBuiltin(name, e.P)
-			v, berr := bi(in, args, e)
+			v, berr := bi.impl(in, args, e)
 			if berr == errSilentOOB {
 				// Unwatched out-of-bounds library access: the operation
 				// "succeeded" against neighboring memory.

@@ -9,18 +9,31 @@ package interp
 import (
 	"testing"
 
-	"repro/internal/driver"
+	"repro/internal/ctypes"
 	"repro/internal/mem"
 	"repro/internal/obs"
+	"repro/internal/parser"
+	"repro/internal/sema"
 	"repro/internal/token"
 	"repro/internal/ub"
 )
+
+// compileNoHeaders stands in for driver.Compile, which this package's tests
+// cannot import: the driver serves headers generated from Libc.
+func compileNoHeaders(src string) (*sema.Program, error) {
+	model := ctypes.LP64()
+	tu, err := parser.Parse(src, "bench.c", model)
+	if err != nil {
+		return nil, err
+	}
+	return sema.Check(tu, model)
+}
 
 // benchInterp builds an interpreter the way New does, with one live
 // activation so seqPoint() has a sequence state to flush.
 func benchInterp(tb testing.TB, o obs.Observer) *Interp {
 	tb.Helper()
-	prog, err := driver.Compile("int main(void){ return 0; }", "bench.c", driver.Options{})
+	prog, err := compileNoHeaders("int main(void){ return 0; }")
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -105,7 +118,7 @@ func BenchmarkObserverOverhead(b *testing.B) {
 	// Whole-program runs: the end-to-end cost of metrics on a loop-heavy
 	// case, the shape a suite run actually pays.
 	src := `int main(void){ int i; int s = 0; for (i = 0; i < 1000; i++) s += i; return 0; }`
-	prog, err := driver.Compile(src, "bench.c", driver.Options{})
+	prog, err := compileNoHeaders(src)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -67,16 +67,6 @@ type footprint struct {
 	universal bool
 }
 
-// pureBuiltins are the builtins whose effect is fully captured by their
-// evented argument reads: no raw o.Data access, no output, no RNG, no
-// allocation. Everything else is treated as a universal conflict.
-var pureBuiltins = map[string]bool{
-	"abs": true, "labs": true,
-	"isdigit": true, "isalpha": true, "isspace": true,
-	"isupper": true, "islower": true,
-	"toupper": true, "tolower": true,
-}
-
 // conflicts reports whether two operand footprints fail to commute: if it
 // returns false, running them in either order reaches the same machine
 // state and produces the same observables.
@@ -308,13 +298,13 @@ func (r *recorder) Event(ev *obs.Event) {
 			pt.ops[pt.done].barrier = true
 		}
 	case obs.EvBuiltin:
-		if pureBuiltins[ev.Name] {
+		eff := interp.EffectOf(ev.Name)
+		if eff == interp.EffectPure {
 			return
 		}
-		rng := ev.Name == "rand" || ev.Name == "srand"
 		for _, pt := range r.stack {
 			f := &pt.ops[pt.done]
-			if rng {
+			if eff == interp.EffectRNG {
 				f.rng = true
 			} else {
 				f.universal = true

@@ -32,10 +32,9 @@ func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 //
 // Immutability contract: once Check returns, a Program — including the
 // AST, symbols, and types it points to — is never written again. The
-// interpreter (interp.Run), the order search (search.Explore), and the
-// abstract interpreter (absint.Analyze) keep all per-run state in their
-// own structures, keyed by AST pointers where needed, and only read the
-// Program. One *Program may therefore be shared freely across concurrent
+// interpreter (interp.Run) and the order search (search.Explore) keep all
+// per-run state in their own structures, keyed by AST pointers where
+// needed, and only read the Program. One *Program may therefore be shared freely across concurrent
 // analyses; driver.Cache and the parallel runner rely on this
 // (enforced by tools.TestConcurrentSharedProgram under -race).
 type Program struct {
@@ -140,8 +139,6 @@ func (c *checker) lookup(name string) (*cast.Symbol, bool) {
 	}
 	return nil, false
 }
-
-func (c *checker) atFileScope() bool { return len(c.scopes) == 1 }
 
 // ---------- file-scope declarations ----------
 

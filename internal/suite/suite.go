@@ -7,7 +7,10 @@ package suite
 import (
 	"fmt"
 	"strings"
+	"unicode"
 
+	"repro/internal/cheaders"
+	"repro/internal/interp"
 	"repro/internal/ub"
 )
 
@@ -124,29 +127,46 @@ func render(d defect, v variant, bad bool) string {
 	return b.String()
 }
 
-// autoIncludes adds the headers the snippet's library calls need.
+// autoIncludes adds, in a fixed order, each header that declares an
+// identifier the snippet uses.
 func autoIncludes(code string) string {
+	ids := strings.FieldsFunc(code, notIdentChar)
 	var b strings.Builder
-	hdrs := []struct {
-		header string
-		tokens []string
-	}{
-		{"stdio.h", []string{"printf", "puts", "putchar", "fprintf", "sprintf", "snprintf", "FILE", "stdout", "stderr", "getchar"}},
-		{"stdlib.h", []string{"malloc", "calloc", "realloc", "free", "exit", "abort", "atoi", "rand", "srand", "abs(", "labs"}},
-		{"string.h", []string{"memcpy", "memmove", "memset", "memcmp", "memchr", "strlen", "strcpy", "strncpy", "strcat", "strncat", "strcmp", "strncmp", "strchr", "strrchr", "strstr"}},
-		{"limits.h", []string{"INT_MAX", "INT_MIN", "UINT_MAX", "LONG_MAX", "LONG_MIN", "CHAR_MAX", "SHRT_MAX"}},
-		{"ctype.h", []string{"isdigit", "isalpha", "isspace", "toupper", "tolower"}},
-		{"float.h", []string{"FLT_MAX", "DBL_MAX"}},
-	}
-	for _, h := range hdrs {
-		for _, tok := range h.tokens {
-			if strings.Contains(code, tok) {
-				fmt.Fprintf(&b, "#include <%s>\n", h.header)
+	for _, h := range []string{"stdio.h", "stdlib.h", "string.h", "limits.h", "ctype.h", "float.h"} {
+		for _, id := range ids {
+			if declared[h][id] {
+				fmt.Fprintf(&b, "#include <%s>\n", h)
 				break
 			}
 		}
 	}
 	return b.String()
+}
+
+// declared maps each built-in header to the identifiers it declares: its
+// library functions (the interp.Libc rows) and the names its #define and
+// typedef lines introduce.
+var declared = func() map[string]map[string]bool {
+	m := map[string]map[string]bool{}
+	for h, text := range cheaders.Headers {
+		m[h] = map[string]bool{}
+		for _, line := range strings.Split(text, "\n") {
+			switch w := strings.FieldsFunc(line, notIdentChar); {
+			case strings.HasPrefix(line, "#define "):
+				m[h][w[1]] = true
+			case strings.HasPrefix(line, "typedef "):
+				m[h][w[len(w)-1]] = true
+			}
+		}
+	}
+	for _, f := range interp.Libc {
+		m[f.Header][f.Name] = true
+	}
+	return m
+}()
+
+func notIdentChar(r rune) bool {
+	return !(r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r))
 }
 
 func indent(body string) string {
