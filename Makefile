@@ -12,8 +12,11 @@ test:
 # them), fail if the nil-observer step path or a one- or two-operand
 # scheduling point allocates, fail if preprocessing a Juliet-shaped unit
 # or compiling a unit of nothing but the stdio/stdlib/string headers
-# exceeds its allocation ceiling, fail if starting a span without a
-# collector installed allocates, smoke-run the
+# exceeds its allocation ceiling, fail if running that unit costs more
+# than 2 allocations over an empty main (the headers' function
+# designators must cost a run nothing) or the setDenom order search on
+# one worker exceeds its allocation ceiling, fail if starting a span
+# without a collector installed allocates, smoke-run the
 # observer-overhead and span-overhead benchmarks, exercise the end-to-end
 # containment gate (a panic injected at every site, at -j 1, 2 and 8,
 # must fail exactly one cell and never crash the suite), replay the fuzz
@@ -49,7 +52,8 @@ check: test
 	go test -race ./internal/cluster/...
 	go test ./internal/interp/ -run 'ObserverPathAllocs' -count=1
 	go test ./internal/cpp/ -run 'TestPreprocessAllocs' -count=1
-	go test ./internal/driver/ -run 'TestCompileHeadersAllocs' -count=1
+	go test ./internal/driver/ -run 'TestCompileHeadersAllocs|TestRunHeadersAllocs' -count=1
+	go test ./internal/search/ -run 'TestOrderSearchAllocs' -count=1
 	go test ./internal/obs/ -run 'SpanNoCollector' -count=1
 	go test ./internal/obs/ -run 'TestCoverageLedgerAllocs' -count=1
 	go test ./internal/interp/ -run '^$$' -bench BenchmarkObserverOverhead -benchtime 100x

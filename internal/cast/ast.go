@@ -65,8 +65,15 @@ type Symbol struct {
 	// EnumVal is the value for enum-constant symbols.
 	EnumVal int64
 
-	// Global symbols: index into the program's global list.
-	// Locals: frame slot assigned by sema (unique within the function).
+	// Slot is the symbol's index in the program's run plan, assigned by
+	// sema.Check:
+	//   - file-scope objects: index among the program's distinct globals,
+	//     in first-declaration order (0..Program.NumGlobals-1);
+	//   - parameters and block-scope objects (Local): index into the
+	//     enclosing function's frame (0..FuncDef.NumSlots-1);
+	//   - functions: index into Program.FuncSyms, the file-scope functions
+	//     in declaration order, or -1 when the name does not end the unit
+	//     as a file-scope function.
 	Slot int
 
 	// FuncDef is set for functions that have a definition.
@@ -74,6 +81,8 @@ type Symbol struct {
 
 	// Referenced tracks whether the symbol is ever used (for diagnostics).
 	Referenced bool
+	// Local marks parameters and block-scope declarations.
+	Local bool
 }
 
 // SymKind classifies symbols.
@@ -132,6 +141,10 @@ type StringLit struct {
 	ExprBase
 	Value []byte
 	Wide  bool
+	// Slot is the literal's index among the program's string literals
+	// (0..Program.NumStrLits-1), assigned by sema.Check. It is an int32
+	// so that it shares a word with Wide.
+	Slot int32
 }
 
 // UnaryOp enumerates unary operators.
@@ -449,6 +462,9 @@ type Decl struct {
 	// ZeroFill reports whether the object must be zeroed before the plan
 	// runs (braced initializers leave unmentioned members zero).
 	ZeroFill bool
+	// Static is the storage index of a block-scope static object
+	// (0..Program.NumStatics-1), assigned by sema.Check.
+	Static int
 }
 
 // Pos implements Node.
@@ -462,7 +478,8 @@ type FuncDef struct {
 	Body   *Compound
 	Sym    *Symbol
 	P      token.Pos
-	// NumSlots is the number of local-variable slots, set by sema.
+	// NumSlots is the number of frame slots (parameters and block-scope
+	// objects) an activation of the function needs, set by sema.Check.
 	NumSlots int
 	// Labels maps label names to their statements, set by sema.
 	Labels map[string]*Label

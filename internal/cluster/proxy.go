@@ -448,14 +448,20 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, path, key stri
 			return
 		}
 
-		respBody, rerr := io.ReadAll(io.LimitReader(resp.Body, maxRelayBytes))
+		// One byte past the bound tells a body that fits from one that
+		// would reach the client cut short, as a 200 with torn JSON.
+		respBody, rerr := io.ReadAll(io.LimitReader(resp.Body, maxRelayBytes+1))
+		if rerr == nil && int64(len(respBody)) > maxRelayBytes {
+			rerr = errBodyTooLong
+		}
 		resp.Body.Close()
 		cancel()
 		if rerr != nil {
 			if r.Context().Err() != nil {
 				return // client gone mid-read; the shard is blameless
 			}
-			// Response lost in transit before anything reached the client:
+			// Response lost in transit, or too long to relay whole, before
+			// anything reached the client:
 			// replay is safe for the client; if the shard died, its counters
 			// died with it, and if it lives its next probe keeps it honest.
 			sh.errors.Add(1)
@@ -507,6 +513,9 @@ func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, body []byte)
 // maxRelayBytes bounds what the router buffers of one shard response: a
 // unary body, or one line of an NDJSON stream (a variable for tests).
 var maxRelayBytes int64 = 256 << 20
+
+// errBodyTooLong reports a unary shard body longer than maxRelayBytes.
+var errBodyTooLong = errors.New("response body exceeds the relay bound")
 
 // errFrameTooLong reports a streamed line longer than maxRelayBytes.
 var errFrameTooLong = errors.New("stream line exceeds the relay bound")

@@ -588,3 +588,35 @@ func TestRouterMetricsEnrichment(t *testing.T) {
 		t.Errorf("aggregate latency = %+v, want the single shard's histogram", m.Aggregate.Latency)
 	}
 }
+
+// TestUnaryRelayBounded: a unary shard body longer than the relay bound
+// is a lost upstream, answered with a typed error — never relayed as a
+// 200 whose JSON is cut at the bound.
+func TestUnaryRelayBounded(t *testing.T) {
+	old := maxRelayBytes
+	t.Cleanup(func() { maxRelayBytes = old })
+	maxRelayBytes = 40
+	a := newFakeShard(t, "inst-a")
+	rt, ts := newTestRouter(t, Config{Shards: []string{a.addr()}})
+
+	resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", bytes.NewReader(analyzeBody()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode == http.StatusOK {
+		t.Fatalf("status 200 with a body cut at the relay bound: %s", body)
+	}
+	var doc server.ErrorResponse
+	if err := json.Unmarshal(body, &doc); err != nil || doc.Error.Code == "" {
+		t.Fatalf("status %d, want a typed error body, got %s (%v)", resp.StatusCode, body, err)
+	}
+	m := rt.Metrics()
+	if m.Forward.Delivered != 0 || m.Forward.Failures != 1 {
+		t.Errorf("delivered %d, failures %d: want 0 and 1", m.Forward.Delivered, m.Forward.Failures)
+	}
+}

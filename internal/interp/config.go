@@ -32,7 +32,7 @@ func (in *Interp) ConfigTree() *ConfigCell {
 	}
 	return &ConfigCell{Label: "T", Children: []*ConfigCell{
 		{Label: "k", Contents: "K (the current computation)"},
-		{Label: "genv", Contents: fmt.Sprintf("Map (%d globals)", len(in.globals))},
+		{Label: "genv", Contents: fmt.Sprintf("Map (%d globals)", in.prog.NumGlobals)},
 		{Label: "gtypes", Contents: fmt.Sprintf("Map (%d file-scope symbols)", len(in.prog.Symbols))},
 		{Label: "locsWrittenTo", Contents: fmt.Sprintf("Set (%d locations)", written)},
 		{Label: "locsRead", Contents: fmt.Sprintf("Set (%d locations)", read)},

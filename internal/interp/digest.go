@@ -25,12 +25,13 @@ func (in *Interp) StateDigest() uint64 {
 	h = mem.HashMix(h, uint64(len(in.frames)))
 	for _, f := range in.frames {
 		h = mem.HashString(h, f.fn.Name)
-		// Locals bind symbols to objects; map iteration order is
-		// arbitrary, so fold each binding independently and combine with
-		// addition (order-independent).
+		// Fold each bound local by name and object, and combine with
+		// addition, which does not depend on the order of the slots.
 		var acc uint64
-		for sym, id := range f.locals {
-			acc += mem.HashMix(mem.HashString(mem.HashSeed, sym.Name), uint64(id))
+		for _, b := range in.slots[f.base : f.base+f.fn.NumSlots] {
+			if b.id != 0 {
+				acc += mem.HashMix(mem.HashString(mem.HashSeed, b.sym.Name), uint64(b.id))
+			}
 		}
 		h = mem.HashMix(h, acc)
 		h = mem.HashMix(h, uint64(len(f.blockStack)))

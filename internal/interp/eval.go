@@ -23,7 +23,7 @@ func (in *Interp) eval(e cast.Expr) (mem.Value, error) {
 
 	case *cast.Ident:
 		if e.Sym.Kind == cast.SymFunc {
-			return in.funcPtr(e.Sym.Name, e.P)
+			return in.funcPtr(e.Sym, e.P)
 		}
 		lv, err := in.lvalOf(e)
 		if err != nil {
@@ -118,13 +118,14 @@ func (in *Interp) loadOrDecay(lv LV, pos token.Pos) (mem.Value, error) {
 	return in.read(lv, pos)
 }
 
-func (in *Interp) funcPtr(name string, pos token.Pos) (mem.Value, error) {
-	id, ok := in.funcObj[name]
-	if !ok {
-		return nil, in.ubError(ub.Catalog[82], pos, "Use of undefined function %q", name)
+// funcPtr is the value of a function designator: a pointer to the
+// file-scope function sym's name designates.
+func (in *Interp) funcPtr(sym *cast.Symbol, pos token.Pos) (mem.Value, error) {
+	if sym.Slot < 0 {
+		return nil, in.ubError(ub.Catalog[82], pos, "Use of undefined function %q", sym.Name)
 	}
-	sym := in.prog.Symbols[name]
-	return mem.Ptr{T: sym.Type.Decay(), Base: id, Off: 0}, nil
+	fn := in.prog.FuncSyms[sym.Slot]
+	return mem.Ptr{T: fn.Type.Decay(), Base: funcID(sym.Slot), Off: 0}, nil
 }
 
 // lvalOf evaluates an expression to an LV (the paper's [L] : T).
@@ -235,18 +236,21 @@ func (in *Interp) derefLValue(v mem.Value, t *ctypes.Type, pos token.Pos) (LV, e
 	return LV{Base: p.Base, Off: p.Off, T: t}, nil
 }
 
-// lookupObj resolves a symbol to its current object.
+// lookupObj resolves an object symbol to its current object: a local
+// through the current activation's slots (only its locals are visible), a
+// file-scope object through the plan.
 func (in *Interp) lookupObj(sym *cast.Symbol) (mem.ObjID, bool) {
-	for i := len(in.frames) - 1; i >= 0; i-- {
-		if id, ok := in.frames[i].locals[sym]; ok {
-			return id, true
-		}
-		break // only the current activation's locals are visible
+	if sym.Kind != cast.SymObject {
+		return 0, false
 	}
-	if id, ok := in.globals[sym]; ok {
-		return id, true
+	if !sym.Local {
+		return in.globalID(sym), true
 	}
-	return 0, false
+	if len(in.frames) == 0 {
+		return 0, false
+	}
+	id := in.slots[in.curFrame().base+sym.Slot].id
+	return id, id != 0
 }
 
 // trackBlockObj registers an object for lifetime termination at the exit of
@@ -353,7 +357,7 @@ func (in *Interp) evalAddr(e *cast.Unary) (mem.Value, error) {
 		return p, nil
 	case *cast.Ident:
 		if x.Sym.Kind == cast.SymFunc {
-			return in.funcPtr(x.Sym.Name, e.P)
+			return in.funcPtr(x.Sym, e.P)
 		}
 	}
 	lv, err := in.lvalOf(e.X)

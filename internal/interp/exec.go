@@ -591,11 +591,9 @@ func (in *Interp) allocLocal(d *cast.Decl) error {
 	if d.Storage == cast.SStatic || d.Storage == cast.SExtern || d.Type.VLA {
 		return nil
 	}
+	// Re-entering the block (loop iteration) rebinds the slot: the old
+	// object was killed at block exit.
 	f := in.curFrame()
-	if _, exists := f.locals[d.Sym]; exists {
-		// Re-entering the block (loop iteration): the old object was
-		// killed at block exit; allocate a fresh one.
-	}
 	if !d.Type.IsComplete() {
 		return in.ubError(ub.Catalog[0], d.P, "Object %q has incomplete type %s", d.Name, d.Type)
 	}
@@ -604,7 +602,7 @@ func (in *Interp) allocLocal(d *cast.Decl) error {
 	if err != nil {
 		return err
 	}
-	f.locals[d.Sym] = o.ID
+	in.bind(f, d.Sym, o.ID)
 	in.trackBlockObj(o.ID)
 	in.markQualRanges(o.ID, 0, d.Type)
 	return nil
@@ -619,15 +617,18 @@ func (in *Interp) execDecl(d *cast.Decl) error {
 	f := in.curFrame()
 	switch {
 	case d.Storage == cast.SStatic:
-		id, done := in.statics[d]
-		if !done {
+		if in.statics == nil {
+			in.statics = make([]mem.ObjID, in.prog.NumStatics)
+		}
+		id := in.statics[d.Static]
+		if id == 0 {
 			size := in.model.Size(d.Type)
 			o, err := in.store.Alloc(mem.ObjStatic, size, d.Name, d.Type)
 			if err != nil {
 				return err
 			}
 			o.Zero(0, size)
-			in.statics[d] = o.ID
+			in.statics[d.Static] = o.ID
 			id = o.ID
 			in.markQualRanges(id, 0, d.Type)
 			if len(d.Plan) > 0 {
@@ -636,7 +637,7 @@ func (in *Interp) execDecl(d *cast.Decl) error {
 				}
 			}
 		}
-		f.locals[d.Sym] = id
+		in.bind(f, d.Sym, id)
 		return nil
 
 	case d.Storage == cast.SExtern:
@@ -677,19 +678,19 @@ func (in *Interp) execDecl(d *cast.Decl) error {
 		if err != nil {
 			return err
 		}
-		f.locals[d.Sym] = o.ID
+		in.bind(f, d.Sym, o.ID)
 		in.trackBlockObj(o.ID)
 		return nil
 	}
 
 	// Ordinary automatic object: already allocated at block entry; run
 	// the initializer now.
-	id, ok := f.locals[d.Sym]
-	if !ok {
+	id := in.slots[f.base+d.Sym.Slot].id
+	if id == 0 {
 		if err := in.allocLocal(d); err != nil {
 			return err
 		}
-		id = f.locals[d.Sym]
+		id = in.slots[f.base+d.Sym.Slot].id
 	}
 	if d.Init == nil {
 		return nil // stays indeterminate (§4.3.3)
@@ -733,10 +734,11 @@ func (in *Interp) evalCall(e *cast.Call) (mem.Value, error) {
 	if fp.IsNull() {
 		return nil, in.ubError(ub.InvalidDeref, e.P, "Calling a null function pointer")
 	}
-	name, isFunc := in.objFunc[fp.Base]
-	if !isFunc {
+	if !in.store.IsFunc(fp.Base) {
 		return nil, in.ubError(ub.BadFuncPtrCall, e.P, "Calling a pointer that does not point to a function")
 	}
+	fn := in.prog.FuncSyms[fp.Base-1]
+	name := fn.Name
 	if err := in.observe(spec.Event{Kind: spec.EvCall, Pos: e.P, Name: name}); err != nil {
 		return nil, err
 	}
@@ -750,8 +752,9 @@ func (in *Interp) evalCall(e *cast.Call) (mem.Value, error) {
 	}
 
 	// Builtin library function?
+	fd := fn.FuncDef
 	if bi, isBuiltin := builtins[name]; isBuiltin {
-		if _, userDefined := in.prog.Funcs[name]; !userDefined {
+		if fd == nil {
 			in.obsBuiltin(name, e.P)
 			v, berr := bi.impl(in, args, e)
 			if berr == errSilentOOB {
@@ -766,8 +769,7 @@ func (in *Interp) evalCall(e *cast.Call) (mem.Value, error) {
 		}
 	}
 
-	fd, defined := in.prog.Funcs[name]
-	if !defined {
+	if fd == nil {
 		return nil, in.ubError(ub.Catalog[82], e.P,
 			"Calling undefined function %q", name)
 	}
@@ -841,18 +843,16 @@ func (in *Interp) callUser(fd *cast.FuncDef, args []mem.Value, pos token.Pos) (m
 	if len(in.frames) >= in.budget.MaxCallDepth {
 		return nil, &BudgetError{Msg: "call depth exceeded in " + fd.Name}
 	}
-	f := &frame{fn: fd, locals: make(map[*cast.Symbol]mem.ObjID)}
-	f.blockStack = append(f.blockStack, nil)
-	in.frames = append(in.frames, f)
-	in.seq = append(in.seq, newSeqState())
+	f := in.pushFrame(fd)
+	in.pushSeq()
 	defer func() {
 		for _, ids := range f.blockStack {
 			for _, id := range ids {
 				in.store.Kill(id)
 			}
 		}
-		in.frames = in.frames[:len(in.frames)-1]
-		in.seq = in.seq[:len(in.seq)-1]
+		in.popFrame()
+		in.popSeq()
 	}()
 
 	// Parameters are objects with automatic storage duration.
@@ -865,7 +865,7 @@ func (in *Interp) callUser(fd *cast.FuncDef, args []mem.Value, pos token.Pos) (m
 		if i < len(args) {
 			in.storeRaw(o, 0, p.Type, args[i])
 		}
-		f.locals[p] = o.ID
+		in.bind(f, p, o.ID)
 		in.trackBlockObj(o.ID)
 		in.markQualRanges(o.ID, 0, p.Type)
 	}

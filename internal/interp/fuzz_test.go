@@ -70,6 +70,15 @@ func FuzzPipeline(f *testing.F) {
 		"int main(void) { unsigned u = 0; return (int)(u - 1) < 0; }",
 		"struct s { int a; int b; };\nint main(void) { struct s v = {1, 2}; struct s *p = &v; return p->b; }",
 		"int main(void) { int x = 1 << 30; return (x + x) > 0; }",
+		// The run plan: shared function designators and slot counts must
+		// stay read-only while 8 runs of one program use them.
+		"int add(int a, int b) { return a + b; }\nint sub(int a, int b) { return a - b; }\nint (*ops[2])(int, int) = {add, sub};\nint main(void) { return ops[0](5, 2) * 10 + ops[1](5, 2); }",
+		"int sq(int x) { return x * x; }\nint apply(int (*f)(int), int v) { return f(v); }\nint main(void) { int (*p)(int) = sq; return apply(p, 3) + (*p)(2) + (p == sq); }",
+		"int main(void) { int h(void); return h(); }\nint h(void) { return 4; }",
+		"int counter(void) { static int n; static const char *tag = \"c\"; return ++n + (tag[0] == 'c'); }\nint main(void) { counter(); counter(); return counter(); }",
+		"int main(void) { const char *a = \"hello\", *b = \"hello\"; char s[] = \"abc\"; s[0] = 'x'; return (a[1] == 'e') + (s[0] == 'x') + (b[4] == 'o'); }",
+		"int fib(int n) { int a = n - 1, b = n - 2; return n < 2 ? n : fib(a) + fib(b); }\nint main(void) { return fib(10) % 100; }",
+		"int odd(int);\nint even(int n) { return n == 0 ? 1 : odd(n - 1); }\nint odd(int n) { return n == 0 ? 0 : even(n - 1); }\nint main(void) { return even(10) + odd(7); }",
 	}
 	for _, s := range seeds {
 		f.Add(s)

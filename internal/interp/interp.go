@@ -111,18 +111,20 @@ type Interp struct {
 	sched Scheduler
 	opts  Options
 
-	globals map[*cast.Symbol]mem.ObjID
-	statics map[*cast.Decl]mem.ObjID // static locals, allocated once
-	strLits map[*cast.StringLit]mem.ObjID
-	funcObj map[string]mem.ObjID
-	objFunc map[mem.ObjID]string
+	// Per-run storage indexed by the program's run plan (sema.Program);
+	// a zero ObjID is a slot not yet bound or allocated. Function
+	// designators and globals need none: their IDs are fixed by the plan
+	// (funcID, globalID).
+	slots   []binding   // frame slots of every live activation, innermost last
+	statics []mem.ObjID // block-scope statics by Decl.Static, allocated once
+	strLits []mem.ObjID // string literal objects by StringLit.Slot
 
 	prof *Profile
 
 	frames []*frame
 	seq    []*seqState // one per function activation
 
-	volatileLocs map[mem.Loc]struct{}
+	volatileLocs map[mem.Loc]struct{} // nil until the first volatile object
 
 	steps    int64
 	budget   Budget
@@ -149,11 +151,56 @@ type Interp struct {
 
 // frame is one function activation: the paper's `local` cell.
 type frame struct {
-	fn     *cast.FuncDef
-	locals map[*cast.Symbol]mem.ObjID
+	fn *cast.FuncDef
+	// base is where the activation's slots start in Interp.slots; local
+	// symbol s is bound at slots[base+s.Slot].
+	base int
 	// blockStack tracks objects allocated per lexical block so their
 	// lifetime ends at block exit (C11 §6.2.4).
 	blockStack [][]mem.ObjID
+}
+
+// binding is one frame slot: the object a local symbol denotes in the
+// activation (id 0: the declaration has not been reached).
+type binding struct {
+	sym *cast.Symbol
+	id  mem.ObjID
+}
+
+// pushFrame opens the activation of fd, with unbound slots. A frame an
+// earlier activation at this depth left is reused.
+func (in *Interp) pushFrame(fd *cast.FuncDef) *frame {
+	var f *frame
+	if n := len(in.frames); n < cap(in.frames) {
+		f = in.frames[:n+1][n]
+	}
+	if f == nil {
+		f = &frame{}
+	}
+	*f = frame{fn: fd, base: len(in.slots), blockStack: append(f.blockStack[:0], nil)}
+	in.frames = append(in.frames, f)
+	in.slots = append(in.slots, make([]binding, fd.NumSlots)...)
+	return f
+}
+
+// popFrame closes the innermost activation.
+func (in *Interp) popFrame() {
+	in.slots = in.slots[:in.curFrame().base]
+	in.frames = in.frames[:len(in.frames)-1]
+}
+
+// bind binds local symbol sym of activation f to object id.
+func (in *Interp) bind(f *frame, sym *cast.Symbol, id mem.ObjID) {
+	in.slots[f.base+sym.Slot] = binding{sym: sym, id: id}
+}
+
+// funcID is the reserved object ID of the i-th function of the plan.
+func funcID(i int) mem.ObjID { return mem.ObjID(i + 1) }
+
+// globalID is the object ID of a file-scope object: initGlobals allocates
+// the globals right after the function designators, in slot order.
+func (in *Interp) globalID(sym *cast.Symbol) mem.ObjID {
+	return mem.ObjID(len(in.prog.FuncSyms) + 1 + sym.Slot)
 }
 
 // seqState is the sequence-point state of one activation: the paper's
@@ -164,7 +211,21 @@ type seqState struct {
 	read    seqSet
 }
 
-func newSeqState() *seqState { return &seqState{} }
+// pushSeq opens the sequence-point state of a new activation. A state an
+// earlier activation at this depth left is reused, with its sets' capacity.
+func (in *Interp) pushSeq() {
+	n := len(in.seq)
+	if n < cap(in.seq) && in.seq[:n+1][n] != nil {
+		in.seq = in.seq[:n+1]
+		s := in.seq[n]
+		s.written.Clear()
+		s.read.Clear()
+		return
+	}
+	in.seq = append(in.seq, &seqState{})
+}
+
+func (in *Interp) popSeq() { in.seq = in.seq[:len(in.seq)-1] }
 
 // seqSpill is the set size past which a seqSet abandons its linear-scan
 // slice for a map. Almost every full expression touches well under this
@@ -246,20 +307,18 @@ func (s *seqSet) Clear() {
 	s.m = nil
 }
 
+// defaultProfile is the profile of runs that set none. It is shared by
+// every run and never written.
+var defaultProfile = KCCProfile()
+
 // New prepares an interpreter for prog.
 func New(prog *sema.Program, opts Options) *Interp {
 	in := &Interp{
-		prog:         prog,
-		model:        prog.Model,
-		store:        mem.NewStore(),
-		opts:         opts,
-		globals:      make(map[*cast.Symbol]mem.ObjID),
-		statics:      make(map[*cast.Decl]mem.ObjID),
-		strLits:      make(map[*cast.StringLit]mem.ObjID),
-		funcObj:      make(map[string]mem.ObjID),
-		objFunc:      make(map[mem.ObjID]string),
-		volatileLocs: make(map[mem.Loc]struct{}),
-		rngState:     0x2545F4914F6CDD1D,
+		prog:     prog,
+		model:    prog.Model,
+		store:    mem.NewStore(),
+		opts:     opts,
+		rngState: 0x2545F4914F6CDD1D,
 	}
 	in.out = opts.Out
 	if in.out == nil {
@@ -275,7 +334,7 @@ func New(prog *sema.Program, opts Options) *Interp {
 	}
 	in.prof = opts.Profile
 	if in.prof == nil {
-		in.prof = KCCProfile()
+		in.prof = defaultProfile
 	}
 	in.budget = opts.Budget.WithDefaults()
 	in.obs = opts.Observer
@@ -330,16 +389,17 @@ func (in *Interp) execute() (int, error) {
 	if err := in.initGlobals(); err != nil {
 		return in.exitCode(err)
 	}
-	mainFn, ok := in.prog.Funcs["main"]
-	if !ok {
+	main := in.prog.Symbols["main"]
+	if main == nil || main.FuncDef == nil {
 		return 1, fmt.Errorf("program has no main function")
 	}
+	mainFn := main.FuncDef
 	// Build argv.
 	args, err := in.buildArgs(mainFn)
 	if err != nil {
 		return in.exitCode(err)
 	}
-	in.seq = append(in.seq, newSeqState())
+	in.pushSeq()
 	v, err := in.callUser(mainFn, args, mainFn.P)
 	if err != nil {
 		return in.exitCode(err)
@@ -482,19 +542,15 @@ func (in *Interp) ubError(b *ub.Behavior, pos token.Pos, format string, args ...
 // ---------- global initialization ----------
 
 func (in *Interp) initGlobals() error {
-	// Allocate function designator objects first (forward references).
-	for name, sym := range in.prog.Symbols {
-		if sym.Kind == cast.SymFunc {
-			o := in.store.AllocFunc(name)
-			in.funcObj[name] = o.ID
-			in.objFunc[o.ID] = name
-		}
-	}
-	// Allocate all global objects (zero-initialized), then run
-	// initializers in source order.
+	// Function designators take IDs 1..F and no objects (forward
+	// references need nothing more). Allocate all global objects
+	// (zero-initialized) after them in slot order, then run initializers
+	// in source order.
+	in.store.ReserveFuncs(in.prog)
+	allocated := 0
 	for _, d := range in.prog.Globals {
-		if _, done := in.globals[d.Sym]; done {
-			continue
+		if d.Sym.Slot < allocated {
+			continue // a redeclaration of an allocated global
 		}
 		if !d.Type.IsComplete() {
 			return fmt.Errorf("%s: global %q has incomplete type %s", d.P, d.Name, d.Type)
@@ -508,17 +564,16 @@ func (in *Interp) initGlobals() error {
 			return err
 		}
 		o.Zero(0, size) // static storage duration ⇒ zero-initialized
-		in.globals[d.Sym] = o.ID
+		allocated++
 		in.markQualRanges(o.ID, 0, d.Type)
 	}
-	in.seq = append(in.seq, newSeqState())
-	defer func() { in.seq = in.seq[:len(in.seq)-1] }()
+	in.pushSeq()
+	defer in.popSeq()
 	for _, d := range in.prog.Globals {
 		if len(d.Plan) == 0 {
 			continue
 		}
-		id := in.globals[d.Sym]
-		if err := in.runInitPlan(id, d.Type, d.Plan, false); err != nil {
+		if err := in.runInitPlan(in.globalID(d.Sym), d.Type, d.Plan, false); err != nil {
 			return err
 		}
 	}
@@ -532,6 +587,9 @@ func (in *Interp) markQualRanges(obj mem.ObjID, off int64, t *ctypes.Type) {
 		in.store.MarkNotWritable(obj, off, in.model.Size(t))
 	}
 	if t.Qual.Has(ctypes.QVolatile) {
+		if in.volatileLocs == nil {
+			in.volatileLocs = make(map[mem.Loc]struct{})
+		}
 		for i := off; i < off+in.model.Size(t); i++ {
 			in.volatileLocs[mem.Loc{Obj: obj, Off: i}] = struct{}{}
 		}
@@ -651,7 +709,10 @@ type noReturn = mem.NoReturn
 // stringLitObj returns (allocating on demand) the object for a string
 // literal; the object is read-only (§6.4.5:7).
 func (in *Interp) stringLitObj(lit *cast.StringLit) (mem.ObjID, error) {
-	if id, ok := in.strLits[lit]; ok {
+	if in.strLits == nil {
+		in.strLits = make([]mem.ObjID, in.prog.NumStrLits)
+	}
+	if id := in.strLits[lit.Slot]; id != 0 {
 		return id, nil
 	}
 	size := int64(len(lit.Value) + 1)
@@ -663,6 +724,6 @@ func (in *Interp) stringLitObj(lit *cast.StringLit) (mem.ObjID, error) {
 		o.Data[i] = mem.Concrete{B: b}
 	}
 	o.Data[len(lit.Value)] = mem.Concrete{B: 0}
-	in.strLits[lit] = o.ID
+	in.strLits[lit.Slot] = o.ID
 	return o.ID, nil
 }

@@ -53,20 +53,32 @@ func digestByte(h uint64, b Byte) uint64 {
 // the identity on purpose: object IDs are observable through pointer
 // comparisons and synthetic addresses, so two stores that differ only in
 // ID assignment are not interchangeable states.
+//
+// The function designators fold first, as the live, empty objects of IDs
+// 1..F they are (Kill never ends their lifetime).
 func (s *Store) Digest(h uint64) uint64 {
-	h = HashMix(h, uint64(len(s.objs)))
+	h = HashMix(h, uint64(s.NumObjects()))
+	for i := 0; i < s.nfuncs; i++ {
+		h = HashMix(h, uint64(ObjFunc)<<8|1)
+		h = HashMix(h, 0)
+	}
 	for _, o := range s.objs {
-		tag := uint64(o.Kind) << 8
-		if o.Live {
-			tag |= 1
-		}
-		h = HashMix(h, tag)
-		h = HashMix(h, uint64(o.Size))
-		for _, b := range o.Data {
-			h = digestByte(h, b)
-		}
+		h = digestObject(h, o)
 	}
 	return HashMix(h, uint64(s.unknownSeq))
+}
+
+func digestObject(h uint64, o *Object) uint64 {
+	tag := uint64(o.Kind) << 8
+	if o.Live {
+		tag |= 1
+	}
+	h = HashMix(h, tag)
+	h = HashMix(h, uint64(o.Size))
+	for _, b := range o.Data {
+		h = digestByte(h, b)
+	}
+	return h
 }
 
 // LocHash hashes one byte location, for order-independent set folds

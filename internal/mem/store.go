@@ -45,10 +45,9 @@ type Object struct {
 	// free); the bytes are retained so dangling uses can be diagnosed.
 	Live bool
 
-	// Name is the declared name (diagnostics), FuncName the designated
-	// function for ObjFunc.
-	Name     string
-	FuncName string
+	// Name is the declared name (diagnostics); for ObjFunc, the name of
+	// the designated function.
+	Name string
 
 	// DeclType is the object's declared/effective type (for the
 	// strict-aliasing check, C11 §6.5:7); nil for heap objects until a
@@ -65,13 +64,21 @@ type Loc struct {
 
 // Store is the memory: a map from base addresses to objects, plus the
 // notWritable set of const locations (paper §4.2.2). Base addresses are
-// allocated densely from 1, so the "map" is a slice indexed by ObjID-1 —
-// every load and store resolves its object with one bounds check instead
-// of a hash lookup.
+// dense: IDs 1..F are the program's function designators (ReserveFuncs),
+// and allocation continues from F+1, so the "map" is a slice indexed by
+// ObjID-F-1 — every load and store resolves its object with one bounds
+// check instead of a hash lookup.
 type Store struct {
-	objs        []*Object // objs[id-1] is the object with base id
+	objs        []*Object // objs[id-nfuncs-1] is the object with base id
 	unknownSeq  int64
-	notWritable map[Loc]struct{}
+	notWritable map[Loc]struct{} // nil until the first const object
+
+	// funcs names the designators of IDs 1..nfuncs. They have no object
+	// until something inspects one as memory (pointer arithmetic, a
+	// comparison, a library call); designators caches those, by ID-1.
+	funcs       Funcs
+	nfuncs      int
+	designators []*Object
 
 	// Limits (failure injection / runaway guards).
 	MaxObjects int
@@ -88,22 +95,37 @@ type Store struct {
 // NewStore returns an empty memory.
 func NewStore() *Store {
 	return &Store{
-		notWritable: make(map[Loc]struct{}),
-		MaxObjects:  1 << 20,
-		MaxBytes:    1 << 24, // 16 MiB of C bytes (each costs ~16x in Go)
+		MaxObjects: 1 << 20,
+		MaxBytes:   1 << 24, // 16 MiB of C bytes (each costs ~16x in Go)
 	}
 }
+
+// Funcs names a program's function designators.
+type Funcs interface {
+	NumFuncs() int
+	FuncName(i int) string // the designator of ObjID i+1
+}
+
+// ReserveFuncs gives IDs 1..f.NumFuncs() to the function designators of
+// f. It must be called before the first Alloc.
+func (s *Store) ReserveFuncs(f Funcs) {
+	s.funcs = f
+	s.nfuncs = f.NumFuncs()
+}
+
+// IsFunc reports whether id is a function designator.
+func (s *Store) IsFunc(id ObjID) bool { return id >= 1 && int64(id) <= int64(s.nfuncs) }
 
 // ErrLimit is returned when an allocation exceeds the store's limits.
 var ErrLimit = fmt.Errorf("memory limit exceeded")
 
 // Alloc creates a new live object of size bytes, all indeterminate.
 func (s *Store) Alloc(kind ObjKind, size int64, name string, declType *ctypes.Type) (*Object, error) {
-	if len(s.objs) >= s.MaxObjects || s.liveBytes+size > s.MaxBytes || size < 0 {
+	if s.NumObjects() >= s.MaxObjects || s.liveBytes+size > s.MaxBytes || size < 0 {
 		return nil, ErrLimit
 	}
 	o := &Object{
-		ID:       ObjID(len(s.objs) + 1),
+		ID:       ObjID(s.NumObjects() + 1),
 		Kind:     kind,
 		Size:     size,
 		Data:     make([]Byte, size),
@@ -120,25 +142,39 @@ func (s *Store) Alloc(kind ObjKind, size int64, name string, declType *ctypes.Ty
 	return o, nil
 }
 
-// AllocFunc creates the designator object for a function.
-func (s *Store) AllocFunc(name string) *Object {
-	o := &Object{ID: ObjID(len(s.objs) + 1), Kind: ObjFunc, Size: 0, Live: true, Name: name, FuncName: name}
-	s.objs = append(s.objs, o)
-	return o
-}
-
 // Obj looks up an object by base. It returns objects whose lifetime has
 // ended too — callers decide whether that is an error.
 func (s *Store) Obj(id ObjID) (*Object, bool) {
-	if id < 1 || int64(id) > int64(len(s.objs)) {
-		return nil, false
+	if i := int64(id) - int64(s.nfuncs) - 1; i >= 0 && i < int64(len(s.objs)) {
+		return s.objs[i], true
 	}
-	return s.objs[id-1], true
+	if s.IsFunc(id) {
+		return s.designator(id), true
+	}
+	return nil, false
+}
+
+// designator returns the object of function designator id, made on the
+// first request of the run.
+func (s *Store) designator(id ObjID) *Object {
+	if s.designators == nil {
+		s.designators = make([]*Object, s.nfuncs)
+	}
+	o := s.designators[id-1]
+	if o == nil {
+		name := s.funcs.FuncName(int(id - 1))
+		o = &Object{ID: id, Kind: ObjFunc, Live: true, Name: name}
+		s.designators[id-1] = o
+	}
+	return o
 }
 
 // Kill ends an object's lifetime, retaining its identity for dangling-use
 // diagnosis.
 func (s *Store) Kill(id ObjID) {
+	if s.IsFunc(id) {
+		return // a function designator lives as long as the program
+	}
 	if o, ok := s.Obj(id); ok && o.Live {
 		o.Live = false
 		s.liveBytes -= o.Size
@@ -155,6 +191,9 @@ func (o *Object) Zero(off, n int64) {
 
 // MarkNotWritable records [off, off+n) of obj as const (paper §4.2.2).
 func (s *Store) MarkNotWritable(obj ObjID, off, n int64) {
+	if s.notWritable == nil {
+		s.notWritable = make(map[Loc]struct{})
+	}
 	for i := off; i < off+n; i++ {
 		s.notWritable[Loc{Obj: obj, Off: i}] = struct{}{}
 	}
@@ -179,8 +218,9 @@ func (s *Store) FreshUnknown() Byte {
 	return Unknown{ID: s.unknownSeq}
 }
 
-// NumObjects reports how many objects (live or dead) the store tracks.
-func (s *Store) NumObjects() int { return len(s.objs) }
+// NumObjects reports how many objects (live or dead) the store tracks,
+// the function designators included.
+func (s *Store) NumObjects() int { return s.nfuncs + len(s.objs) }
 
 // LiveBytes reports the total size of live objects.
 func (s *Store) LiveBytes() int64 { return s.liveBytes }

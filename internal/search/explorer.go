@@ -121,6 +121,7 @@ func (e *explorer) worker() {
 	// runs) so the tracing layer can follow an exploration across the
 	// pool. Free when no collector is installed.
 	_, sp := obs.StartSpan(e.ctx, "search.worker")
+	rec := newRecorder(e)
 	runs := 0
 	for {
 		e.mu.Lock()
@@ -135,7 +136,7 @@ func (e *explorer) worker() {
 		e.queue = e.queue[:len(e.queue)-1]
 		e.mu.Unlock()
 
-		e.runOne(p)
+		e.runOne(rec, p)
 		runs++
 
 		e.mu.Lock()
@@ -150,9 +151,9 @@ func (e *explorer) worker() {
 	sp.End()
 }
 
-// runOne executes one prefix and folds the result (outcome, expansion,
-// stats) into the shared state.
-func (e *explorer) runOne(prefix []int) {
+// runOne executes one prefix on the worker's recorder and folds the
+// result (outcome, expansion, stats) into the shared state.
+func (e *explorer) runOne(rec *recorder, prefix []int) {
 	e.mu.Lock()
 	if e.stopped {
 		e.mu.Unlock()
@@ -172,10 +173,10 @@ func (e *explorer) runOne(prefix []int) {
 		return
 	}
 
-	rec := newRecorder(e, prefix)
+	rec.reset(prefix)
 	iopts := interp.Options{
 		Sched:   rec,
-		Out:     rec.sink,
+		Out:     &rec.sink,
 		Budget:  interp.Budget{MaxSteps: e.opts.MaxSteps},
 		Context: e.ctx,
 	}
@@ -197,7 +198,7 @@ func (e *explorer) runOne(prefix []int) {
 		Output:   rec.sink.String(),
 		UB:       runRes.UB,
 		Err:      runRes.Err,
-		Trace:    append([]int{}, prefix...),
+		Trace:    prefix, // the frontier's copy, read-only from here on
 	}
 
 	var deliver bool
@@ -269,10 +270,11 @@ func (e *explorer) expandLocked(rec *recorder, room int) [][]int {
 		limit = rec.dedupHit
 		e.deduped++
 	}
-	picks := make([]int, len(rec.log))
-	for i, c := range rec.log {
-		picks[i] = c.Picked
+	picks := rec.picks[:0]
+	for _, c := range rec.log {
+		picks = append(picks, c.Picked)
 	}
+	rec.picks = picks
 
 	var fresh [][]int
 	add := func(g, c int) {
@@ -290,11 +292,11 @@ func (e *explorer) expandLocked(rec *recorder, room int) [][]int {
 
 		if e.por && pt.canonical {
 			// Canonical visit: this run carries the node's POR judgment.
-			key := pathKey(picks[:pt.firstPick])
-			nd := e.points[key]
+			rec.key = appendPathKey(rec.key[:0], picks[:pt.firstPick])
+			nd := e.points[string(rec.key)]
 			if nd == nil {
 				nd = &pointNode{}
-				e.points[key] = nd
+				e.points[string(rec.key)] = nd
 			}
 			if nd.expanded {
 				continue
@@ -346,12 +348,12 @@ func altPrefix(picks []int, g, c int) []int {
 	return pre
 }
 
-// pathKey encodes a pick path exactly (no hashing: a collision in the
-// POR registry would silently merge two nodes and lose exploration).
-func pathKey(picks []int) string {
-	b := make([]byte, 0, 2*len(picks))
+// appendPathKey appends the encoding of a pick path to b. The encoding
+// is exact (no hashing: a collision in the POR registry would silently
+// merge two nodes and lose exploration).
+func appendPathKey(b []byte, picks []int) []byte {
 	for _, c := range picks {
 		b = binary.AppendUvarint(b, uint64(c))
 	}
-	return string(b)
+	return b
 }

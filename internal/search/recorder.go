@@ -17,7 +17,7 @@ package search
 // point with alternatives.
 
 import (
-	"strings"
+	"bytes"
 
 	"repro/internal/interp"
 	"repro/internal/obs"
@@ -99,6 +99,12 @@ func (f *footprint) conflicts(g *footprint) bool {
 
 func (f *footprint) hasAccess() bool { return len(f.reads)+len(f.writes) > 0 }
 
+// reset empties the footprint for the next run, keeping the capacity of
+// its span slices.
+func (f *footprint) reset() {
+	*f = footprint{reads: f.reads[:0], writes: f.writes[:0]}
+}
+
 // pointRec is one choice point of the run under reconstruction.
 type pointRec struct {
 	// firstPick is the log position of the point's Pick(n) — the node of
@@ -168,12 +174,17 @@ func (pt *pointRec) conflicted() bool {
 	return false
 }
 
-// recorder drives and observes one run.
+// recorder drives and observes one run at a time. Each worker keeps one
+// and resets it between runs, so the point records, their footprints, the
+// choice log, the stack and the output sink keep their capacity: a run
+// allocates only what grows past the largest run before it. Nothing the
+// recorder holds escapes a run — expandLocked copies what the frontier
+// keeps before the next run starts.
 type recorder struct {
 	exp    *explorer
 	prefix []int
 	in     *interp.Interp
-	sink   *strings.Builder
+	sink   bytes.Buffer
 
 	log []interp.Choice
 	pos int
@@ -183,7 +194,8 @@ type recorder struct {
 	track bool
 
 	stack  []*pointRec // open points, innermost last
-	points []*pointRec // every point, in open (= firstPick) order
+	points []*pointRec // every point, in open (= firstPick) order; the
+	// records past len(points) are earlier runs', kept for reuse
 
 	// groupLeft counts the Picks still to be drawn for the innermost
 	// point's permutation; 0 means the next Pick opens a new point.
@@ -194,16 +206,51 @@ type recorder struct {
 	// bookkeeping stop at this position — the owning run is responsible
 	// for the subtree.
 	dedupHit int
+
+	// Scratch for expandLocked: the run's picks and a POR registry key.
+	picks []int
+	key   []byte
 }
 
-func newRecorder(e *explorer, prefix []int) *recorder {
-	return &recorder{
-		exp:      e,
-		prefix:   prefix,
-		sink:     &strings.Builder{},
-		track:    e.por,
-		dedupHit: -1,
+func newRecorder(e *explorer) *recorder {
+	return &recorder{exp: e, track: e.por}
+}
+
+// reset prepares the recorder for the run of prefix.
+func (r *recorder) reset(prefix []int) {
+	r.prefix = prefix
+	r.in = nil
+	r.sink.Reset()
+	r.log = r.log[:0]
+	r.pos = 0
+	r.stack = r.stack[:0]
+	r.points = r.points[:0]
+	r.groupLeft = 0
+	r.dedupHit = -1
+}
+
+// newPoint opens a point record of fanout n at log position first,
+// reusing a record (and its footprints) from an earlier run if one is
+// left.
+func (r *recorder) newPoint(first, n int) *pointRec {
+	var pt *pointRec
+	if len(r.points) < cap(r.points) {
+		pt = r.points[:len(r.points)+1][len(r.points)]
 	}
+	if pt == nil {
+		pt = &pointRec{}
+	}
+	ops := pt.ops
+	if cap(ops) < n {
+		ops = append(ops[:cap(ops)], make([]footprint, n-cap(ops))...)
+	}
+	ops = ops[:n]
+	for i := range ops {
+		ops[i].reset()
+	}
+	*pt = pointRec{firstPick: first, fanout: n, canonical: true, ops: ops}
+	r.points = append(r.points, pt)
+	return pt
 }
 
 // Pick implements interp.Scheduler: replay the prefix, then leftmost —
@@ -223,17 +270,16 @@ func (r *recorder) Pick(n int) int {
 			// Top-level choice point in fresh territory: hash the machine
 			// state; if another run owns it, the subtree below is theirs.
 			key := r.in.StateDigest()
-			key ^= hashOutput(r.sink.String())
+			key ^= hashOutput(r.sink.Bytes())
 			if !r.exp.claimState(key) {
 				r.dedupHit = r.pos
 			}
 		}
-		pt := &pointRec{firstPick: r.pos, fanout: n, canonical: true, ops: make([]footprint, n)}
+		pt := r.newPoint(r.pos, n)
 		if r.track {
 			pt.snap(r)
 		}
 		r.stack = append(r.stack, pt)
-		r.points = append(r.points, pt)
 		r.groupLeft = n
 	}
 	if r.groupLeft > 0 {
@@ -313,7 +359,7 @@ func (r *recorder) Event(ev *obs.Event) {
 	}
 }
 
-func hashOutput(s string) uint64 {
+func hashOutput(s []byte) uint64 {
 	var h uint64 = 1469598103934665603
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])

@@ -149,3 +149,27 @@ int main(void) {
 		t.Errorf("should stop after first run, ran %d", res.Runs)
 	}
 }
+
+// TestFunctionAddressOneOutcome: a function's address is the same on
+// every evaluation order (designators have fixed object IDs), so printing
+// it adds no behavior.
+func TestFunctionAddressOneOutcome(t *testing.T) {
+	prog := compile(t, `#include <stdio.h>
+int f(void) { return 1; }
+int g(void) { return 2; }
+int main(void) {
+	printf("%lu\n", (unsigned long)f);
+	return f() + g();
+}
+`)
+	res := search.Explore(context.Background(), prog, search.Options{})
+	if !res.Exhausted {
+		t.Error("search should exhaust this small program")
+	}
+	if len(res.Outcomes) != 1 {
+		t.Errorf("got %d outcomes over %d runs, want 1", len(res.Outcomes), res.Runs)
+		for _, o := range res.Outcomes {
+			t.Logf("exit %d output %q", o.ExitCode, o.Output)
+		}
+	}
+}

@@ -58,6 +58,8 @@ func (c *checker) exprInner(e cast.Expr) (*ctypes.Type, error) {
 		}
 		e.T = ctypes.ArrayOf(elem, n)
 		e.Lvalue = true
+		e.Slot = int32(c.prog.NumStrLits)
+		c.prog.NumStrLits++
 		return e.T, nil
 
 	case *cast.Ident:

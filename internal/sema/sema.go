@@ -31,12 +31,19 @@ func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 // Program is a checked translation unit ready for interpretation.
 //
 // Immutability contract: once Check returns, a Program — including the
-// AST, symbols, and types it points to — is never written again. The
-// interpreter (interp.Run) and the order search (search.Explore) keep all
-// per-run state in their own structures, keyed by AST pointers where
-// needed, and only read the Program. One *Program may therefore be shared freely across concurrent
-// analyses; driver.Cache and the parallel runner rely on this
-// (enforced by tools.TestConcurrentSharedProgram under -race).
+// AST, symbols, and types it points to, and the run plan below — is never
+// written again. The interpreter (interp.Run) and the order search
+// (search.Explore) keep all per-run state in their own structures, indexed
+// by the plan's slots, and only read the Program. One *Program may
+// therefore be shared freely across concurrent analyses; driver.Cache and
+// the parallel runner rely on this (enforced by
+// tools.TestConcurrentSharedProgram and FuzzPipeline's shared-program runs
+// under -race).
+//
+// The run plan is what every execution of the program would otherwise
+// rebuild: Check numbers the storage a run needs (see cast.Symbol.Slot and
+// cast.StringLit.Slot), so a run sizes slices from the counts here and
+// indexes them, instead of building maps keyed by AST pointers.
 type Program struct {
 	Model *ctypes.Model
 	// File is the translation unit's source file name — the unit label
@@ -45,11 +52,29 @@ type Program struct {
 	File    string
 	Unit    *cast.TranslationUnit
 	Globals []*cast.Decl // file-scope objects, in definition order
-	Funcs   map[string]*cast.FuncDef
-	Symbols map[string]*cast.Symbol // file-scope symbols by name
+	// Symbols are the file-scope symbols by name; a defined function's
+	// symbol carries its FuncDef.
+	Symbols map[string]*cast.Symbol
 	// StaticUB collects statically detected undefined behaviors.
 	StaticUB []*ub.Error
+
+	// FuncSyms are the file-scope functions in declaration order: the
+	// designator of FuncSyms[i] is the object ID i+1 in every run, and
+	// the globals take the IDs after them.
+	FuncSyms []*cast.Symbol
+	// NumGlobals, NumStatics and NumStrLits count the file-scope objects,
+	// block-scope statics and string literals that slots index.
+	NumGlobals int
+	NumStatics int
+	NumStrLits int
 }
+
+// NumFuncs and FuncName name the program's function designators for
+// mem.Store.ReserveFuncs.
+func (p *Program) NumFuncs() int { return len(p.FuncSyms) }
+
+// FuncName is the name of the designator of object ID i+1.
+func (p *Program) FuncName(i int) string { return p.FuncSyms[i].Name }
 
 // checker carries the state of one checking pass.
 type checker struct {
@@ -67,6 +92,10 @@ type checker struct {
 	// (for the goto-into-VLA-scope check).
 	sawReturnValue bool
 	sawPlainReturn bool
+
+	// funcSyms is every function symbol created, in order; planFuncs
+	// numbers them once the whole unit is checked.
+	funcSyms []*cast.Symbol
 }
 
 // Check type-checks tu under model.
@@ -75,10 +104,9 @@ func Check(tu *cast.TranslationUnit, model *ctypes.Model) (*Program, error) {
 		Model:   model,
 		File:    tu.File,
 		Unit:    tu,
-		Funcs:   make(map[string]*cast.FuncDef),
 		Symbols: make(map[string]*cast.Symbol),
 	}
-	c := &checker{model: model, prog: prog}
+	c := &checker{model: model, prog: prog, funcSyms: make([]*cast.Symbol, 0, len(tu.Order))}
 	c.pushScope()
 	for _, n := range tu.Order {
 		switch n := n.(type) {
@@ -93,7 +121,39 @@ func Check(tu *cast.TranslationUnit, model *ctypes.Model) (*Program, error) {
 		}
 	}
 	c.popScope()
+	c.planFuncs()
 	return prog, nil
+}
+
+// planFuncs numbers the file-scope functions in declaration order and
+// gives every function symbol — including block-scope declarations — the
+// number of the file-scope function its name designates, or -1. A name's
+// first function symbol comes no later than its first entry into
+// prog.Symbols, so numbering names by first symbol is declaration order.
+func (c *checker) planFuncs() {
+	for _, sym := range c.funcSyms {
+		sym.Slot = -1
+	}
+	c.prog.FuncSyms = make([]*cast.Symbol, 0, len(c.funcSyms))
+	for _, sym := range c.funcSyms {
+		fs := c.prog.Symbols[sym.Name]
+		if fs.Kind != cast.SymFunc {
+			continue // the name ended the unit as an object
+		}
+		if fs.Slot < 0 {
+			fs.Slot = len(c.prog.FuncSyms)
+			c.prog.FuncSyms = append(c.prog.FuncSyms, fs)
+		}
+		sym.Slot = fs.Slot
+	}
+}
+
+// localSlot gives a parameter or block-scope object its frame slot in the
+// current function.
+func (c *checker) localSlot(sym *cast.Symbol) {
+	sym.Local = true
+	sym.Slot = c.curFunc.NumSlots
+	c.curFunc.NumSlots++
 }
 
 func (c *checker) errorf(pos token.Pos, format string, args ...any) error {
@@ -182,7 +242,11 @@ func (c *checker) fileScopeDecl(d *cast.Decl) error {
 	d.Sym = sym
 	c.declare(sym)
 	c.prog.Symbols[d.Name] = sym
-	if kind == cast.SymObject {
+	if kind == cast.SymFunc {
+		c.funcSyms = append(c.funcSyms, sym)
+	} else {
+		sym.Slot = c.prog.NumGlobals
+		c.prog.NumGlobals++
 		if d.Init != nil {
 			if err := c.checkInit(d); err != nil {
 				return err
@@ -255,8 +319,8 @@ func (c *checker) funcDef(fd *cast.FuncDef) error {
 		fd.Sym = sym
 		c.declare(sym)
 		c.prog.Symbols[fd.Name] = sym
+		c.funcSyms = append(c.funcSyms, sym)
 	}
-	c.prog.Funcs[fd.Name] = fd
 
 	c.curFunc = fd
 	c.labels = make(map[string]*cast.Label)
@@ -278,6 +342,7 @@ func (c *checker) funcDef(fd *cast.FuncDef) error {
 		if err := c.sized(param.Type, fd.P, fmt.Sprintf("parameter %q", param.Name)); err != nil {
 			return err
 		}
+		c.localSlot(param)
 		c.declare(param)
 	}
 	if err := c.stmts(fd.Body.List); err != nil {
@@ -420,6 +485,7 @@ func (c *checker) localDecl(d *cast.Decl) error {
 		if _, ok := c.prog.Symbols[d.Name]; !ok {
 			c.prog.Symbols[d.Name] = sym
 		}
+		c.funcSyms = append(c.funcSyms, sym)
 		return nil
 	}
 	if d.Type.VLA {
@@ -446,6 +512,11 @@ func (c *checker) localDecl(d *cast.Decl) error {
 	}
 	sym := &cast.Symbol{Name: d.Name, Type: d.Type, Kind: cast.SymObject, Storage: d.Storage, Pos: d.P}
 	d.Sym = sym
+	c.localSlot(sym)
+	if d.Storage == cast.SStatic {
+		d.Static = c.prog.NumStatics
+		c.prog.NumStatics++
+	}
 	// The new declaration is in scope inside its own initializer
 	// (C11 §6.2.1:7), so `int x = x;` reads the indeterminate new x —
 	// exactly the UB the dynamic checker must catch.

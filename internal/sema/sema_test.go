@@ -45,7 +45,7 @@ int main(void) { return add(g, 2); }
 	if len(prog.Globals) != 1 || prog.Globals[0].Name != "g" {
 		t.Errorf("globals: %v", prog.Globals)
 	}
-	if _, ok := prog.Funcs["main"]; !ok {
+	if main := prog.Symbols["main"]; main == nil || main.FuncDef == nil {
 		t.Error("main not found")
 	}
 }
@@ -65,7 +65,7 @@ int main(void) {
 	return (int)(a + b);
 }
 `)
-	body := prog.Funcs["main"].Body.List
+	body := prog.Symbols["main"].FuncDef.Body.List
 	ret := body[2].(*cast.Return)
 	cst := ret.X.(*cast.Cast)
 	bin := cst.X.(*cast.Binary)
@@ -256,7 +256,7 @@ int main(void) {
 }
 `)
 	var sw *cast.Switch
-	for _, s := range prog.Funcs["main"].Body.List {
+	for _, s := range prog.Symbols["main"].FuncDef.Body.List {
 		if s2, ok := s.(*cast.Switch); ok {
 			sw = s2
 		}
@@ -295,7 +295,7 @@ func TestSelfRefInit(t *testing.T) {
 	// `int x = x;` must resolve to the new x (whose value is
 	// indeterminate — the dynamic checker's problem, not ours).
 	prog := check(t, "int main(void) { int x = x; return x; }")
-	ds := prog.Funcs["main"].Body.List[0].(*cast.DeclStmt)
+	ds := prog.Symbols["main"].FuncDef.Body.List[0].(*cast.DeclStmt)
 	init := ds.Decls[0].Plan[0].Expr.(*cast.Ident)
 	if init.Sym != ds.Decls[0].Sym {
 		t.Error("x in initializer should resolve to the new declaration")
@@ -434,5 +434,91 @@ func TestProgramFileIsSet(t *testing.T) {
 	prog := check(t, `int main(void) { return 0; }`)
 	if prog.File != "test.c" {
 		t.Errorf("Program.File = %q, want test.c", prog.File)
+	}
+}
+
+// TestRunPlan checks the numbering Check gives a run: functions in
+// declaration order (block-scope declarations share their file-scope
+// function's number), distinct globals in first-declaration order, frame
+// slots per function, statics and string literals.
+func TestRunPlan(t *testing.T) {
+	prog := check(t, `
+int g1;
+int f(int a, int b);
+int g2 = 3, g1;
+const char *s = "x";
+int f(int a, int b) { static int n; int c = a; { int d = b; c += d; } return c + n; }
+int main(void) { int h(void); int q(void); return f(1, 2) + h(); }
+int h(void) { return "y"[0]; }
+int q;
+`)
+	var names []string
+	for _, fn := range prog.FuncSyms {
+		names = append(names, fn.Name)
+	}
+	if got := strings.Join(names, " "); got != "f main h" {
+		t.Errorf("FuncSyms = %q, want declaration order \"f main h\"", got)
+	}
+	for i, fn := range prog.FuncSyms {
+		if fn.Slot != i {
+			t.Errorf("function %s has slot %d, want %d", fn.Name, fn.Slot, i)
+		}
+	}
+	for _, g := range []struct {
+		name string
+		slot int
+	}{{"g1", 0}, {"g2", 1}, {"s", 2}} {
+		if sym := prog.Symbols[g.name]; sym.Local || sym.Slot != g.slot {
+			t.Errorf("global %s: slot %d local %v, want slot %d", g.name, sym.Slot, sym.Local, g.slot)
+		}
+	}
+	if prog.NumGlobals != 4 || prog.NumStatics != 1 || prog.NumStrLits != 2 {
+		t.Errorf("NumGlobals %d, NumStatics %d, NumStrLits %d; want 4, 1, 2",
+			prog.NumGlobals, prog.NumStatics, prog.NumStrLits)
+	}
+
+	f := prog.Symbols["f"].FuncDef
+	if f.NumSlots != 5 {
+		t.Errorf("f has %d frame slots, want 5 (a, b, n, c, d)", f.NumSlots)
+	}
+	seen := map[int]string{}
+	for _, p := range f.Params {
+		seen[p.Slot] = p.Name
+	}
+	for _, item := range f.Body.List {
+		if ds, ok := item.(*cast.DeclStmt); ok {
+			for _, d := range ds.Decls {
+				if !d.Sym.Local {
+					t.Errorf("%s is not marked local", d.Name)
+				}
+				seen[d.Sym.Slot] = d.Name
+			}
+		}
+	}
+	if len(seen) != 4 || seen[0] != "a" || seen[1] != "b" {
+		t.Errorf("f's slots: %v", seen)
+	}
+
+	// main's block-scope h shares the file-scope h's number; q ends the
+	// unit as an object, so main's q designates no function.
+	checked := 0
+	for _, item := range prog.Symbols["main"].FuncDef.Body.List {
+		ds, ok := item.(*cast.DeclStmt)
+		if !ok {
+			continue
+		}
+		for _, d := range ds.Decls {
+			want := -1
+			if d.Name == "h" {
+				want = prog.Symbols["h"].Slot
+			}
+			if d.Sym.Slot != want {
+				t.Errorf("main's %s has slot %d, want %d", d.Name, d.Sym.Slot, want)
+			}
+			checked++
+		}
+	}
+	if checked != 2 {
+		t.Errorf("checked %d of main's 2 function declarations", checked)
 	}
 }
